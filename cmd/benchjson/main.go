@@ -35,13 +35,18 @@ import (
 
 // Result is one trajectory point: the schema of BENCH_*.json.
 type Result struct {
-	Schema      string  `json:"schema"` // "neonsim-bench/v1"
-	GeneratedAt string  `json:"generated_at,omitempty"`
-	GoVersion   string  `json:"go_version,omitempty"`
-	Bench       string  `json:"bench"`     // -bench regex the point was recorded with
-	Benchtime   string  `json:"benchtime"` // -benchtime per run
-	Count       int     `json:"count"`     // -count runs per benchmark
-	Benchmarks  []Bench `json:"benchmarks"`
+	Schema      string `json:"schema"` // "neonsim-bench/v1"
+	GeneratedAt string `json:"generated_at,omitempty"`
+	GoVersion   string `json:"go_version,omitempty"`
+	Bench       string `json:"bench"`     // -bench regex the point was recorded with
+	Benchtime   string `json:"benchtime"` // -benchtime per run
+	Count       int    `json:"count"`     // -count runs per benchmark
+	// GOMAXPROCS and NumCPU record the parallelism the point was
+	// measured at: a Serial/Parallel pair recorded at GOMAXPROCS=1 is
+	// identical by construction and proves nothing.
+	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
+	NumCPU     int     `json:"num_cpu,omitempty"`
+	Benchmarks []Bench `json:"benchmarks"`
 	// Raw holds the benchmark output lines verbatim (including the
 	// goos/goarch/pkg/cpu header), so `jq -r '.raw[]' point.json`
 	// reconstructs a file benchstat accepts.
@@ -109,6 +114,9 @@ func cmdRun(args []string) {
 	res.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	res.GoVersion = runtime.Version()
 	res.Bench, res.Benchtime, res.Count = *bench, *benchtime, *count
+	// The go test child inherits this process's environment and
+	// machine, so its GOMAXPROCS is ours.
+	res.GOMAXPROCS, res.NumCPU = runtime.GOMAXPROCS(0), runtime.NumCPU()
 	if *baseline != "" {
 		before, err := loadPoint(*baseline)
 		if err != nil {

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -141,8 +142,8 @@ func parseLoads(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -load value %q (want positive load factors like 0.8,1.0,1.2)", part)
+		if err != nil || !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("bad -load value %q (want finite positive load factors like 0.8,1.0,1.2)", part)
 		}
 		out = append(out, v)
 	}
@@ -222,6 +223,10 @@ func main() {
 	opts.Tenants = tenantSweep
 	opts.Policy = *polName
 	opts.DeepScale = *deep
+	if err := opts.CheckLoads(); err != nil {
+		fmt.Fprintf(os.Stderr, "neonsim: bad -load value: %v\n", err)
+		os.Exit(2)
+	}
 
 	var records []benchRecord
 	run := func(e exp.Experiment) {

@@ -82,7 +82,7 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
 		"BenchmarkDispatcherDrain",
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
-		"BENCH_8.json", "BENCH_9.json", "DESIGN.md §11", "DESIGN.md §12",
+		"BENCH_8.json", "BENCH_9.json", "BENCH_12.json", "DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
 		if !strings.Contains(doc, want) {
@@ -159,8 +159,9 @@ func TestDesignDocCoversScaleIndex(t *testing.T) {
 
 // TestDesignDocCoversSubmission pins DESIGN.md §14's anchor terms: the
 // continuation API, the slow-path commitment rules (committed fault,
-// side-effect-free peek), the batch staging surface, and every test
-// and benchmark the section cites as evidence must keep their names.
+// side-effect-free peek, inline handoff, pin until delivery), the
+// batch staging surface, and every test and benchmark the section
+// cites as evidence must keep their names.
 func TestDesignDocCoversSubmission(t *testing.T) {
 	data, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -180,6 +181,11 @@ func TestDesignDocCoversSubmission(t *testing.T) {
 		"TestBatchDrainUnderDFQEngagement", "TestBatchDrainStampsSojourns",
 		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
 		"BenchmarkDispatcherDrainBatched",
+		"sim.Gate.Handoff", "sim.Gate.Notify", "inline-handoff rule",
+		"pin-until-delivery rule", "Batch.Ring", "Batch.Close",
+		"sim.Engine.Activations", "TestHandoffRunsProcessInline",
+		"TestHandoffPanicsInProcessContext", "TestNotifyJoinsProcessFIFO",
+		"TestServeRunsOnContinuations",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

@@ -39,6 +39,24 @@ func (o Options) ServeLoads() []float64 {
 	return DefaultServeLoads
 }
 
+// CheckLoads validates a -load sweep at the boundary: every stream the
+// serve and tiers populations would build at each load factor must pass
+// traffic.CheckArrival, so a load whose arrival rates the engine cannot
+// represent is refused with an error before any job runs, instead of
+// failing (or crawling at one arrival per tick) inside one.
+func (o Options) CheckLoads() error {
+	for _, load := range o.Loads {
+		streams := ServePopulation(o.ServeFleetSize(), load)
+		streams = append(streams, TierPopulation(TiersDevices, load, o.TierServeWeights(), o.tierAssignments())...)
+		for _, s := range streams {
+			if err := traffic.CheckArrival(s.Arrival); err != nil {
+				return fmt.Errorf("load factor %g: stream %s: %w", load, s.Tenant.Name, err)
+			}
+		}
+	}
+	return nil
+}
+
 // ServeSchedNames lists the per-device scheduler policies the serve
 // grid compares: engaged timeslice, token-passing disengaged timeslice,
 // and disengaged fair queueing.

@@ -272,15 +272,59 @@ func TestSampleMeasuresServiceTimes(t *testing.T) {
 		}
 	})
 	var res SampleResult
+	liveBefore, liveAfter := -1, -1
 	e.Spawn("sched", func(p *sim.Proc) {
+		liveBefore = e.LiveProcs()
 		res = k.Sample(p, task, 5*time.Millisecond, 8)
+		liveAfter = e.LiveProcs()
 	})
 	e.RunFor(20 * time.Millisecond)
 	if len(res.Sizes) != 8 {
 		t.Fatalf("sampled %d requests, want 8 (early stop)", len(res.Sizes))
 	}
+	// Sampling watchers are done-gate continuations, not processes: the
+	// episode leaves exactly the work and sched processes it found.
+	if liveBefore != 2 || liveAfter != 2 {
+		t.Fatalf("live processes %d before / %d after sampling, want exactly 2 (work, sched) both times",
+			liveBefore, liveAfter)
+	}
 	if res.Mean() != 50*time.Microsecond {
 		t.Fatalf("mean = %v, want 50us", res.Mean())
+	}
+}
+
+// TestSamplingEpisodeSpawnsNoProcesses pins the watcher-leak check
+// exactly: a sampling episode that watches a request still in flight
+// when its window closes leaves the live process count where it found
+// it — mid-episode and right after Sample returns — because watchers
+// are continuations on the request's done gate, not processes.
+func TestSamplingEpisodeSpawnsNoProcesses(t *testing.T) {
+	sched := &recordingSched{engageAll: true}
+	e, _, k := testKernel(t, sched)
+	task, cs := openChannel(t, e, k)
+	task.Go("work", func(p *sim.Proc) {
+		p.Sleep(100 * time.Microsecond) // fault inside the sampling window
+		for task.Alive {
+			r := cs.Ch.Stage(3*time.Millisecond, gpu.Compute)
+			cs.Ch.Reg.Store(p, r.Ref)
+			p.Wait(r.DoneGate())
+		}
+	})
+	liveBefore, liveMid, liveAfter := -1, -1, -1
+	var res SampleResult
+	e.Spawn("sched", func(p *sim.Proc) {
+		liveBefore = e.LiveProcs()
+		e.After(time.Millisecond, func() { liveMid = e.LiveProcs() })
+		res = k.Sample(p, task, 2*time.Millisecond, 8)
+		liveAfter = e.LiveProcs()
+	})
+	e.RunFor(10 * time.Millisecond)
+	if len(res.Sizes) != 0 || res.Elapsed != 2*time.Millisecond {
+		t.Fatalf("sampled %d requests over %v, want none over the full 2ms window", len(res.Sizes), res.Elapsed)
+	}
+	if liveBefore != 2 || liveMid != 2 || liveAfter != 2 {
+		t.Fatalf("live processes %d before / %d during / %d after sampling, want exactly 2 (work, sched) throughout",
+			liveBefore, liveMid, liveAfter)
 	}
 }
 
@@ -302,8 +346,8 @@ func TestSampleTimesOutOnIdleTask(t *testing.T) {
 	if res.Mean() != 0 {
 		t.Fatal("mean of nothing should be 0")
 	}
-	if e.LiveProcs() > 2 { // task setup proc finished; work proc none
-		t.Fatalf("leaked watcher procs: %d live", e.LiveProcs())
+	if e.LiveProcs() != 0 { // setup and sched procs finished; watchers are never procs
+		t.Fatalf("%d processes live after the sampling episode, want 0", e.LiveProcs())
 	}
 }
 

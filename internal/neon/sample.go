@@ -28,11 +28,10 @@ func (s SampleResult) Mean() sim.Duration {
 
 // sampleState tracks an in-progress sampling run.
 type sampleState struct {
-	active   bool
-	want     int
-	sizes    []sim.Duration
-	gate     *sim.Gate
-	watchers []*sim.Proc
+	active bool
+	want   int
+	sizes  []sim.Duration
+	gate   *sim.Gate
 }
 
 // Sample gives the scheduler a measured look at task t's requests: with
@@ -62,16 +61,17 @@ func (k *Kernel) Sample(p *sim.Proc, t *Task, maxDur sim.Duration, maxReqs int) 
 		}
 	}
 	t.sample = nil
-	for _, w := range st.watchers {
-		if !w.Finished() {
-			w.Kill()
-		}
-	}
 	return SampleResult{Sizes: st.sizes, Elapsed: p.Now().Sub(start)}
 }
 
 // watchStaged registers completion watchers for requests newly staged on
 // a sampled channel. Called from the fault handler.
+//
+// A watcher is a continuation on the request's done gate, armed by an
+// event at the back of the current instant: it joins the gate's FIFO,
+// and observes, at the same event positions as a process spawned here
+// to wait on the gate would. Watchers outliving their sampling window
+// find it inactive and do nothing.
 func (k *Kernel) watchStaged(cs *ChannelState) {
 	st := cs.Task.sample
 	if st == nil || !st.active {
@@ -86,11 +86,9 @@ func (k *Kernel) watchStaged(cs *ChannelState) {
 		// The watcher reads timing fields after the done gate opens, so
 		// the request must survive any completion-time recycling.
 		req.Pin()
-		w := k.eng.Spawn("sample-watch", func(p *sim.Proc) {
-			p.Wait(req.DoneGate())
-			st.observe(req)
+		k.eng.After(0, func() {
+			req.DoneGate().Notify(func() { st.observe(req) })
 		})
-		st.watchers = append(st.watchers, w)
 	}
 }
 

@@ -180,6 +180,10 @@ type Engine struct {
 	procs  int // live (unfinished) procs, for leak detection
 	inProc int // >0 while process code may be on the stack (Proc.activate)
 
+	// activations counts Proc activations (goroutine handoffs) since
+	// construction or Reset.
+	activations uint64
+
 	// stepping guards against re-entrant Run calls.
 	running bool
 
@@ -611,6 +615,7 @@ func (e *Engine) Reset() {
 	e.pending = 0
 	e.now = 0
 	e.seq = 0
+	e.activations = 0
 	e.hasPanic = false
 	e.panicked = nil
 }
@@ -643,6 +648,12 @@ func (e *Engine) Pending() int { return e.pending }
 // LiveProcs returns the number of spawned processes that have not yet
 // finished. Useful for leak detection in tests.
 func (e *Engine) LiveProcs() int { return e.procs }
+
+// Activations returns the number of process activations — goroutine
+// handoffs from the engine into a Proc body — since the engine was
+// built or last Reset. It is an exact, host-independent measure of how
+// much of a model still runs as processes rather than continuations.
+func (e *Engine) Activations() uint64 { return e.activations }
 
 func (e *Engine) enter() {
 	if e.running {

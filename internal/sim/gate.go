@@ -2,15 +2,24 @@ package sim
 
 // Gate is a condition-variable-like wakeup point in virtual time.
 //
-// Processes block on a Gate with Proc.Wait or Proc.WaitFor. Wakers call
-// Signal (wake one), Broadcast (wake all), or Open/Close (level-triggered:
-// while open, waits pass immediately). Wakeups are delivered as events at
-// the current virtual time, so a waker never runs a waiter's code inline.
+// Processes block on a Gate with Proc.Wait or Proc.WaitFor; engine code
+// registers a one-shot continuation with Notify. Wakers call Signal
+// (wake one), Broadcast (wake all), or Open/Close (level-triggered:
+// while open, waits pass immediately). Wakeups are delivered as events
+// at the current virtual time, so a waker never runs a waiter's code
+// inline — the one exception is Handoff, which exists precisely to run
+// a parked process inside the current event.
 type Gate struct {
 	engine  *Engine
 	name    string
 	open    bool
-	waiters []*Proc
+	waiters []waiter
+}
+
+// waiter is one parked process (p) or one continuation (fn).
+type waiter struct {
+	p  *Proc
+	fn func()
 }
 
 // NewGate returns a closed gate.
@@ -39,42 +48,95 @@ func (g *Gate) Signal() {
 	if len(g.waiters) == 0 {
 		return
 	}
-	p := g.waiters[0]
-	copy(g.waiters, g.waiters[1:]) // shift in place: keep capacity
-	g.waiters = g.waiters[:len(g.waiters)-1]
-	g.release(p)
+	w := g.waiters[0]
+	g.drop(0)
+	g.release(w)
 }
 
 // Broadcast wakes all current waiters.
 func (g *Gate) Broadcast() {
 	ws := g.waiters
 	g.waiters = g.waiters[:0] // keep capacity: gates are reused hot
-	for _, p := range ws {
-		g.release(p)
+	for i, w := range ws {
+		ws[i] = waiter{} // release the continuation for GC
+		g.release(w)
 	}
 }
 
-// Waiters returns the number of processes currently blocked on the gate.
+// Waiters returns the number of processes and continuations currently
+// waiting on the gate.
 func (g *Gate) Waiters() int { return len(g.waiters) }
 
-func (g *Gate) release(p *Proc) {
-	p.gate = nil
-	g.engine.Schedule(g.engine.now, p.activateFn)
+// Notify registers fn as a one-shot continuation on the gate: the
+// engine-context counterpart of Proc.Wait. On an open gate fn runs
+// inline, as a process's Wait would pass without yielding. Otherwise fn
+// joins the same FIFO as parked processes, and a wake schedules it at
+// the current instant exactly where the woken process's activation
+// would have gone, so converting a waiting process into a continuation
+// moves no event.
+func (g *Gate) Notify(fn func()) {
+	if g.open {
+		fn()
+		return
+	}
+	g.waiters = append(g.waiters, waiter{fn: fn})
+}
+
+// Handoff runs the longest-parked process on the gate inline, inside
+// the current event, and returns when that process blocks again (or
+// finishes). It is how a continuation machine falls back to its
+// slow-lane process without an event hop: the process executes at the
+// exact event position the machine had reached, so whatever it orders
+// by event position (a blocking acquire, an attach queue, a faulting
+// store) sees the same timeline a process-driven actor would have.
+// Continuation waiters are skipped and keep their place. Handoff must
+// be called from engine context — a process cannot run another inline
+// — and panics if no process is parked.
+func (g *Gate) Handoff() {
+	if g.engine.inProc > 0 {
+		panic("sim: Gate.Handoff from process context")
+	}
+	for i, w := range g.waiters {
+		if w.p != nil {
+			g.drop(i)
+			w.p.gate = nil
+			w.p.activate()
+			g.engine.rethrow()
+			return
+		}
+	}
+	panic("sim: Gate.Handoff on " + g.name + " with no parked process")
+}
+
+func (g *Gate) release(w waiter) {
+	if w.fn != nil {
+		g.engine.Schedule(g.engine.now, w.fn)
+		return
+	}
+	w.p.gate = nil
+	g.engine.Schedule(g.engine.now, w.p.activateFn)
 }
 
 func (g *Gate) wait(p *Proc) {
 	if g.open {
 		return
 	}
-	g.waiters = append(g.waiters, p)
+	g.waiters = append(g.waiters, waiter{p: p})
 	p.gate = g
 	p.block()
 }
 
+// drop removes waiter i in place, keeping FIFO order and capacity.
+func (g *Gate) drop(i int) {
+	n := copy(g.waiters[i:], g.waiters[i+1:])
+	g.waiters[i+n] = waiter{}
+	g.waiters = g.waiters[:i+n]
+}
+
 func (g *Gate) remove(p *Proc) {
 	for i, w := range g.waiters {
-		if w == p {
-			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
+		if w.p == p {
+			g.drop(i)
 			return
 		}
 	}

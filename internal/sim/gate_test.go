@@ -1,0 +1,172 @@
+package sim
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestNotifyJoinsProcessFIFO pins the continuation waiter's position:
+// process and continuation waiters are released in the order they
+// joined, each as an event at the back of the waking instant — after
+// work the waker's instant had already queued — so a continuation runs
+// exactly where a woken process's activation would.
+func TestNotifyJoinsProcessFIFO(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate("g")
+	var order []string
+	e.Spawn("p1", func(p *Proc) {
+		p.Wait(g)
+		order = append(order, "p1")
+	})
+	e.After(0, func() { g.Notify(func() { order = append(order, "c1") }) })
+	e.Spawn("p2", func(p *Proc) {
+		p.Wait(g)
+		order = append(order, "p2")
+	})
+	e.After(0, func() { g.Notify(func() { order = append(order, "c2") }) })
+	e.RunFor(5)
+	if g.Waiters() != 4 {
+		t.Fatalf("Waiters = %d, want 4 (two procs, two continuations)", g.Waiters())
+	}
+	e.After(0, func() {
+		e.After(0, func() { order = append(order, "queued") })
+		g.Broadcast()
+		order = append(order, "waker")
+	})
+	e.Run()
+	want := []string{"waker", "queued", "p1", "c1", "p2", "c2"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("release order %v, want %v", order, want)
+	}
+	if g.Waiters() != 0 {
+		t.Fatalf("Waiters = %d after broadcast, want 0", g.Waiters())
+	}
+}
+
+// TestNotifySignalWakesOneContinuation: Signal releases only the head
+// waiter, continuation or not, leaving the rest in place.
+func TestNotifySignalWakesOneContinuation(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate("g")
+	var fired []int
+	for i := 0; i < 3; i++ {
+		g.Notify(func() { fired = append(fired, i) })
+	}
+	g.Signal()
+	e.Run()
+	if !reflect.DeepEqual(fired, []int{0}) || g.Waiters() != 2 {
+		t.Fatalf("fired %v with %d waiting, want [0] with 2", fired, g.Waiters())
+	}
+}
+
+// TestNotifyOnOpenGateRunsInline: an open gate passes a continuation
+// immediately, inside the caller, as it passes a process's Wait without
+// a yield.
+func TestNotifyOnOpenGateRunsInline(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate("g")
+	g.Open()
+	ran := false
+	g.Notify(func() { ran = true })
+	if !ran {
+		t.Fatal("continuation on an open gate did not run inline")
+	}
+	if e.Pending() != 0 || g.Waiters() != 0 {
+		t.Fatalf("open-gate Notify left %d events, %d waiters", e.Pending(), g.Waiters())
+	}
+}
+
+// TestHandoffRunsProcessInline: the parked process runs inside the
+// caller's event — before the caller's next statement — and Handoff
+// returns when it blocks again; its later wakeups are ordinary events.
+func TestHandoffRunsProcessInline(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate("lane")
+	var order []string
+	e.Spawn("lane", func(p *Proc) {
+		for {
+			p.Wait(g)
+			order = append(order, "lane@"+p.Now().String())
+			p.Sleep(3)
+			order = append(order, "lane-woke@"+p.Now().String())
+		}
+	})
+	e.RunFor(1)
+	before := e.Activations()
+	e.After(1, func() {
+		e.After(0, func() { order = append(order, "queued") })
+		order = append(order, "caller")
+		g.Handoff()
+		order = append(order, "caller-after")
+	})
+	e.RunFor(10)
+	want := []string{"caller", "lane@2ns", "caller-after", "queued", "lane-woke@5ns"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	if got := e.Activations() - before; got != 2 {
+		t.Fatalf("%d activations for one handoff and one sleep, want 2", got)
+	}
+	if g.Waiters() != 1 {
+		t.Fatalf("lane not parked again after its run: %d waiters", g.Waiters())
+	}
+}
+
+// TestHandoffSkipsContinuations: Handoff wakes the first parked
+// process; continuation waiters ahead of it keep their place.
+func TestHandoffSkipsContinuations(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate("g")
+	g.Notify(func() { t.Error("continuation released by Handoff") })
+	ran := false
+	e.Spawn("lane", func(p *Proc) {
+		p.Wait(g)
+		ran = true
+	})
+	e.RunFor(1)
+	e.After(0, g.Handoff)
+	e.RunFor(1)
+	if !ran || g.Waiters() != 1 {
+		t.Fatalf("ran=%v waiters=%d, want the process run and the continuation left", ran, g.Waiters())
+	}
+}
+
+// TestHandoffPanicsInProcessContext: a process cannot run another one
+// inline; only engine context may hand off.
+func TestHandoffPanicsInProcessContext(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate("g")
+	e.Spawn("lane", func(p *Proc) { p.Wait(g) })
+	e.Spawn("caller", func(p *Proc) { g.Handoff() })
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("Handoff from process context did not panic")
+		}
+	}()
+	e.Run()
+}
+
+// TestActivationsCountsHandoffs: every goroutine handoff into a process
+// body counts once — first run, wakeups, and the kill unwind — and
+// Reset clears the counter.
+func TestActivationsCountsHandoffs(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate("g")
+	p := e.Spawn("p", func(p *Proc) {
+		p.Sleep(1)
+		p.Wait(g)
+	})
+	e.Run()
+	if got := e.Activations(); got != 2 {
+		t.Fatalf("Activations = %d after first run and one sleep, want 2", got)
+	}
+	p.Kill()
+	e.Run()
+	if got := e.Activations(); got != 3 {
+		t.Fatalf("Activations = %d after the kill unwind, want 3", got)
+	}
+	e.Reset()
+	if e.Activations() != 0 {
+		t.Fatalf("Activations = %d after Reset, want 0", e.Activations())
+	}
+}

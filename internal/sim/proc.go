@@ -94,6 +94,7 @@ func (p *Proc) activate() {
 		return
 	}
 	p.engine.inProc++
+	p.engine.activations++
 	p.resume <- p.killed
 	<-p.yield
 	p.engine.inProc--

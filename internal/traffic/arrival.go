@@ -7,10 +7,45 @@ import (
 	"repro/internal/sim"
 )
 
-// never is the gap returned when a process's current rate is zero: far
-// enough out that the stream is silent for any experiment window, small
-// enough that Time.Add never saturates.
+// never is the gap returned when a process's current rate is zero, and
+// the ceiling every gap saturates at: far enough out that the stream is
+// silent for any experiment window, small enough that Time.Add never
+// saturates.
 const never = sim.Duration(1) << 55
+
+// maxRate is the fastest mean arrival rate a stream may declare: one
+// arrival per engine tick (1 ns). Faster sources cannot be represented
+// in virtual time — their gaps would all floor to the tick — so New
+// rejects them instead of silently serving a slower stream.
+const maxRate = 1e9
+
+// CheckArrival validates an arrival process at the serving boundary: its
+// declared mean rate must be finite, non-negative, and at most maxRate
+// arrivals per second.
+func CheckArrival(a Arrival) error {
+	if a == nil {
+		return fmt.Errorf("no arrival process")
+	}
+	r := a.MeanRate()
+	if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 || r > maxRate {
+		return fmt.Errorf("arrival %s: mean rate %v/s outside [0, %g]", a.Name(), r, maxRate)
+	}
+	return nil
+}
+
+// gapOf converts a gap in float nanoseconds to a Duration, flooring at
+// the 1 ns tick and saturating at never — Go leaves converting an
+// out-of-range float implementation-defined (negative on amd64), so the
+// range check must come first.
+func gapOf(ns float64) sim.Duration {
+	if !(ns < float64(never)) { // also catches NaN
+		return never
+	}
+	if ns < 1 {
+		return 1
+	}
+	return sim.Duration(ns)
+}
 
 // Arrival is an open-loop arrival process: a source of inter-arrival
 // gaps that does not depend on request completions (no think time, no
@@ -33,17 +68,13 @@ type Arrival interface {
 // expGap draws an exponential inter-arrival gap for the given rate in
 // events/second (a homogeneous Poisson step). Zero or negative rates
 // yield never; gaps are floored at 1 ns so open-loop generators always
-// advance virtual time.
+// advance virtual time, and saturate at never.
 func expGap(rng *sim.RNG, rate float64) sim.Duration {
 	if rate <= 0 {
 		return never
 	}
 	u := rng.Float64()
-	gap := sim.Duration(-math.Log(1-u) / rate * 1e9)
-	if gap < 1 {
-		gap = 1
-	}
-	return gap
+	return gapOf(-math.Log(1-u) / rate * 1e9)
 }
 
 // Deterministic arrivals tick at exactly 1/Rate intervals — the
@@ -64,11 +95,7 @@ func (d Deterministic) Next(now sim.Time, rng *sim.RNG) sim.Duration {
 	if d.Rate <= 0 {
 		return never
 	}
-	gap := sim.Duration(1e9 / d.Rate)
-	if gap < 1 {
-		gap = 1
-	}
-	return gap
+	return gapOf(1e9 / d.Rate)
 }
 
 // Poisson arrivals have exponential inter-arrival gaps — the memoryless
@@ -129,6 +156,11 @@ func (m *MMPP) MeanRate() float64 {
 // the other state's rate (the memoryless property makes the restart
 // exact, not an approximation).
 func (m *MMPP) Next(now sim.Time, rng *sim.RNG) sim.Duration {
+	if m.MeanRate()*never.Seconds() < 1 {
+		// The mean gap lies past the horizon: walking the state chain
+		// toward an arrival would take billions of dwells.
+		return never
+	}
 	if !m.started {
 		m.started = true
 		m.burst = false
@@ -145,6 +177,9 @@ func (m *MMPP) Next(now sim.Time, rng *sim.RNG) sim.Duration {
 			return next.Sub(now)
 		}
 		t = m.stateEnd
+		if t.Sub(now) >= never {
+			return never
+		}
 		m.burst = !m.burst
 		m.stateEnd = t.Add(m.dwell(rng))
 	}
@@ -239,7 +274,7 @@ func (d Diurnal) Next(now sim.Time, rng *sim.RNG) sim.Duration {
 		phase := 2 * math.Pi * float64(t) / float64(d.Period)
 		rate := d.Base * (1 + amp*math.Sin(phase))
 		if rng.Float64()*peak <= rate {
-			return t.Sub(now)
+			return min(t.Sub(now), never)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package traffic
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // drawArrivals advances a process from time zero for the window and
@@ -111,5 +114,66 @@ func TestDiurnalModulation(t *testing.T) {
 	}
 	if highs < lows*2 {
 		t.Fatalf("diurnal modulation invisible: %d high-half vs %d low-half arrivals", highs, lows)
+	}
+}
+
+// TestCheckArrivalRejectsUnrepresentableRates: the serving boundary
+// refuses a mean rate that is non-finite, negative, or faster than the
+// 1 ns engine tick, and New refuses a stream carrying one. Zero (a
+// silent stream) and the tick rate itself pass.
+func TestCheckArrivalRejectsUnrepresentableRates(t *testing.T) {
+	for _, a := range []Arrival{
+		Poisson{Rate: math.NaN()},
+		Poisson{Rate: math.Inf(1)},
+		Deterministic{Rate: -1},
+		Diurnal{Base: 2e9, Amplitude: 0.5, Period: time.Second},
+		NewMMPP(0, math.Inf(1), 30*time.Millisecond, 10*time.Millisecond),
+		nil,
+	} {
+		if CheckArrival(a) == nil {
+			t.Errorf("CheckArrival(%#v) accepted an unrepresentable rate", a)
+		}
+		eng := sim.NewEngine()
+		_, err := New(eng, Config{
+			Fleet:   fleet.Config{Devices: 1, Sched: "direct", Seed: 1},
+			Streams: []Stream{{Tenant: workload.OpenLoopTenant("bad", 100*us, 0), Arrival: a}},
+		})
+		if err == nil {
+			t.Errorf("New accepted a stream with arrival %#v", a)
+		}
+	}
+	for _, a := range []Arrival{Deterministic{Rate: 0}, Poisson{Rate: maxRate}, &Staggered{Gap: 0}} {
+		if err := CheckArrival(a); err != nil {
+			t.Errorf("CheckArrival(%#v) = %v, want ok", a, err)
+		}
+	}
+}
+
+// TestGapsSaturateAtNever: a rate so low that its gap overflows a
+// Duration yields the silent gap, never a negative one (Go leaves the
+// out-of-range float conversion implementation-defined), and the
+// multi-state processes return promptly instead of walking billions of
+// dwells toward an arrival past the horizon.
+func TestGapsSaturateAtNever(t *testing.T) {
+	rng := sim.NewRNG(1)
+	for _, a := range []Arrival{
+		Deterministic{Rate: 1e-12},
+		Poisson{Rate: 1e-12},
+		Poisson{Rate: math.SmallestNonzeroFloat64},
+		NewMMPP(0, 1e-12, 30*time.Millisecond, 10*time.Millisecond),
+		NewMMPP(1e-12, 1e-11, time.Millisecond, time.Millisecond),
+		Diurnal{Base: 1e-12, Amplitude: 0.8, Period: 100 * time.Millisecond},
+	} {
+		for i := 0; i < 100; i++ {
+			if gap := a.Next(0, rng); gap < 1 || gap > never {
+				t.Fatalf("%s: gap %v outside [1ns, never]", a.Name(), gap)
+			}
+		}
+	}
+	if gap := (Deterministic{Rate: 1e-12}).Next(0, rng); gap != never {
+		t.Errorf("deterministic 1e-12/s gap = %v, want never", gap)
+	}
+	if gap := (Deterministic{Rate: 2e9}).Next(0, rng); gap != 1 {
+		t.Errorf("deterministic 2e9/s gap = %v, want the 1 ns floor", gap)
 	}
 }

@@ -46,8 +46,7 @@ func TestBatchDrainOneDoorbellPerBacklog(t *testing.T) {
 		}
 		node := srv.Fleet().Nodes()[0]
 		st := srv.streams[0]
-		d := &dispatcher{srv: srv, st: st, node: node, gate: eng.NewGate("dispatch-test")}
-		d.doneFn = d.onDone
+		d := newDispatcher(srv, st, node)
 		st.disp[node] = d
 		for i := 0; i < backlog; i++ {
 			srv.Fleet().PlaceRequest(st.ft)
@@ -184,8 +183,7 @@ func benchDispatcherDrain(b *testing.B, batch bool) {
 	}
 	node := srv.Fleet().Nodes()[0]
 	st := srv.streams[0]
-	d := &dispatcher{srv: srv, st: st, node: node, gate: eng.NewGate("dispatch-bench")}
-	d.doneFn = d.onDone
+	d := newDispatcher(srv, st, node)
 	st.disp[node] = d
 	eng.Spawn("dispatch", d.run)
 	eng.RunFor(time.Millisecond)
@@ -194,10 +192,7 @@ func benchDispatcherDrain(b *testing.B, batch bool) {
 			srv.Fleet().PlaceRequest(st.ft)
 			d.queue = append(d.queue, item{arrival: eng.Now()})
 		}
-		if d.ready && d.idle {
-			d.idle = false
-			d.gate.Signal()
-		}
+		d.wake()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -257,8 +252,7 @@ func TestColdRebuildNotCountedWhenTaskDies(t *testing.T) {
 	// drain; the client opens detached (pool exhausted) and the cold
 	// rebuild parks waiting for a slot.
 	st := srv.streams[0]
-	d := &dispatcher{srv: srv, st: st, node: node, gate: eng.NewGate("dispatch-test")}
-	d.doneFn = d.onDone
+	d := newDispatcher(srv, st, node)
 	st.disp[node] = d
 	srv.Fleet().PlaceRequest(st.ft)
 	d.queue = append(d.queue, item{arrival: eng.Now(), cold: true})

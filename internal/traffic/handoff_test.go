@@ -1,0 +1,75 @@
+package traffic
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/fleet"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// TestServeRunsOnContinuations pins, exactly and host-independently,
+// how little of the serving path still runs as processes. On a fixed
+// seed, serve-shaped population (five open-loop streams over a 2-device
+// sticky DFQ fleet below the knee):
+//
+//   - no arrival generator is a process: the live processes are exactly
+//     the dispatchers' slow lanes plus one scheduler loop per node;
+//   - the fast path never hands off: under one process activation per
+//     completed request is left (the DFQ loops and engaged-register
+//     faults), where running arrivals, dispatch, and sampling watchers
+//     as processes costs about 3.5.
+func TestServeRunsOnContinuations(t *testing.T) {
+	eng := sim.NewEngine()
+	rate := func(weight float64, size sim.Duration) float64 { return 1.2 * weight / size.Seconds() }
+	srv, err := New(eng, Config{
+		Fleet: fleet.Config{
+			Devices:  2,
+			Policy:   fleet.NewLocalitySticky(48),
+			Sched:    "dfq",
+			RunLimit: time.Second,
+			Seed:     1,
+		},
+		AdmitDepth: 96,
+		Streams: []Stream{
+			{Tenant: workload.OpenLoopTenant("user-a", 250*us, 500*us), Arrival: Poisson{Rate: rate(0.175, 250*us)}},
+			{Tenant: workload.OpenLoopTenant("user-b", 250*us, 500*us), Arrival: Poisson{Rate: rate(0.175, 250*us)}},
+			{Tenant: workload.OpenLoopTenant("web", 200*us, 400*us),
+				Arrival: Diurnal{Base: rate(0.15, 200*us), Amplitude: 0.8, Period: 100 * time.Millisecond}},
+			{Tenant: workload.OpenLoopTenant("victim", 80*us, 150*us), Arrival: Deterministic{Rate: rate(0.05, 80*us)}},
+			{Tenant: workload.OpenLoopTenant("adversary", 500*us, 800*us),
+				Arrival: NewMMPP(0, 4*rate(0.45, 500*us), 30*time.Millisecond, 10*time.Millisecond)},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(200 * time.Millisecond)
+	if err := srv.SetupError(); err != nil {
+		t.Fatal(err)
+	}
+	srv.ResetStats()
+	act0 := eng.Activations()
+	eng.RunFor(time.Second)
+
+	var completed int64
+	dispatchers := 0
+	for i, st := range srv.streams {
+		completed += srv.Stats(i).Completed
+		dispatchers += len(st.disp)
+	}
+	nodes := len(srv.Fleet().Nodes())
+	if got, want := eng.LiveProcs(), dispatchers+nodes; got != want {
+		t.Errorf("%d live processes, want exactly %d dispatcher slow lanes + %d scheduler loops", got, dispatchers, nodes)
+	}
+	if completed < 1000 {
+		t.Fatalf("only %d requests completed: the population is not being served", completed)
+	}
+	per := float64(eng.Activations()-act0) / float64(completed)
+	t.Logf("%d completions, %d activations (%.3f per request), %d live processes",
+		completed, eng.Activations()-act0, per, eng.LiveProcs())
+	if per >= 1 {
+		t.Errorf("%.3f process activations per completed request, want < 1", per)
+	}
+}

@@ -121,6 +121,9 @@ type stream struct {
 	size  sim.Duration
 	kind  gpu.Kind
 	tier  workload.Tier
+
+	// genFn is the arrival chain's timer callback, bound once.
+	genFn func()
 }
 
 // Server drives open-loop request streams through a placed, admitted,
@@ -151,7 +154,7 @@ type doneRec struct {
 	lat sim.Duration
 }
 
-// New builds the fleet, registers one tenant per stream, and spawns the
+// New builds the fleet, registers one tenant per stream, and starts the
 // arrival generators. The simulation (engine Run/RunFor) then serves
 // traffic until stopped.
 //
@@ -167,6 +170,9 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 	for i, spec := range cfg.Streams {
 		if err := spec.Tenant.Validate(); err != nil {
 			return nil, fmt.Errorf("traffic: stream %d: %w", i, err)
+		}
+		if err := CheckArrival(spec.Arrival); err != nil {
+			return nil, fmt.Errorf("traffic: stream %d (%s): %w", i, spec.Tenant.Name, err)
 		}
 	}
 	f, err := fleet.New(eng, cfg.Fleet)
@@ -193,8 +199,12 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 			kind: spec.Tenant.Mix[0].Kind,
 			tier: spec.Tenant.Tier.Normalize(),
 		}
+		st.genFn = func() {
+			s.arrive(st)
+			s.generate(st)
+		}
 		s.streams = append(s.streams, st)
-		eng.Spawn("arrivals/"+spec.Tenant.Name, s.generator(st))
+		eng.After(0, func() { s.generate(st) })
 	}
 	return s, nil
 }
@@ -231,21 +241,26 @@ func (s *Server) ResetStats() {
 	}
 }
 
-// generator returns the stream's open-loop arrival loop: sleep the
-// process gap, admit-or-shed, place, enqueue — never wait for service.
-func (s *Server) generator(st *stream) func(*sim.Proc) {
-	return func(p *sim.Proc) {
-		for {
-			p.Sleep(st.spec.Arrival.Next(p.Now(), st.rng))
-			s.arrive(p, st)
+// generate draws the stream's next inter-arrival gap and schedules the
+// arrival: the open-loop source is a self-rescheduling timer chain, one
+// event per arrival (genFn: arrive, then generate), that never waits
+// for service. A non-positive gap arrives within the same event, as
+// Proc.Sleep returns at once for a non-positive duration.
+func (s *Server) generate(st *stream) {
+	for {
+		gap := st.spec.Arrival.Next(s.eng.Now(), st.rng)
+		if gap > 0 {
+			s.eng.After(gap, st.genFn)
+			return
 		}
+		s.arrive(st)
 	}
 }
 
 // arrive handles one arrival at the front door. Admission is decided
 // against the arriving tenant's tier bound, so under rising backlog
 // best-effort streams shed first and premium streams last.
-func (s *Server) arrive(p *sim.Proc, st *stream) {
+func (s *Server) arrive(st *stream) {
 	st.stats.Arrivals++
 	if !s.adm.AdmitTier(st.tier, s.fleet.QueueDepth()) {
 		st.stats.Shed++
@@ -254,11 +269,9 @@ func (s *Server) arrive(p *sim.Proc, st *stream) {
 	n, migrated := s.fleet.PlaceRequest(st.ft)
 	d := st.disp[n]
 	if d == nil {
-		d = &dispatcher{srv: s, st: st, node: n,
-			gate: p.Engine().NewGate("dispatch-" + st.spec.Tenant.Name)}
-		d.doneFn = d.onDone
+		d = newDispatcher(s, st, n)
 		st.disp[n] = d
-		p.Engine().Spawn("dispatch/"+st.spec.Tenant.Name, d.run)
+		s.eng.Spawn("dispatch/"+st.spec.Tenant.Name, d.run)
 	}
 	if d.err != nil {
 		// The tenant's client on this node failed to set up; nothing will
@@ -268,17 +281,10 @@ func (s *Server) arrive(p *sim.Proc, st *stream) {
 		return
 	}
 	d.queue = append(d.queue, item{
-		arrival: p.Now(),
+		arrival: s.eng.Now(),
 		cold:    migrated && st.spec.Tenant.WorkingSet > 0,
 	})
-	if d.ready && d.idle {
-		// Edge-triggered wake: the drain parks only with an empty queue,
-		// so only the idle-to-backlogged transition signals the gate —
-		// same wake event position as a broadcast to the parked process,
-		// without a (lost) broadcast per backlogged arrival.
-		d.idle = false
-		d.gate.Signal()
-	}
+	d.wake()
 }
 
 // item is one admitted request waiting in a dispatcher queue.
@@ -293,15 +299,23 @@ type item struct {
 // schedulers delay tenants), but completion is never waited for — the
 // channel FIFO and the completion hook carry the rest.
 //
-// The drain stays process-driven — unlike the closed-loop drivers'
-// continuation machines (DESIGN.md §14) — because every serving client
-// rides a virtual (multiplexed) context: each acquire orders the mux's
-// LRU clock and attach queue by the event it runs in, and only a
-// process can block through an attach, so an engine-context refusal
-// hop would shift those orderings within the instant. The wake is
-// edge-triggered instead of broadcast-per-arrival (gate signal only on
-// the idle-to-backlogged transition), and Config.BatchDrain turns a
-// drained backlog into one staged batch with a single doorbell.
+// The drain is an engine-context continuation machine (DESIGN.md §14)
+// with a process kept only as its slow lane. While the client's
+// virtual context is attached and the register page is present, the
+// machine stages the request, rings the async doorbell, and continues
+// DirectWrite later — holding the context's pin until that
+// continuation, exactly as a blocking store holds its Acquire across
+// the write (pin-until-delivery), so the mux sees the same evictable
+// set at every instant. Any refusal (detached or attaching context,
+// engaged register, trap-per-request client) hands the drain to the
+// slow-lane process with Gate.Handoff, which runs it inline in the
+// same event: the blocking Acquire, attach, or faulting store then
+// happens at the event position a blocking drain would reach, so the
+// mux LRU clock and attach queue order are the blocking timeline's by
+// construction (inline handoff). The wake is edge-triggered (only the
+// idle-to-backlogged transition schedules the drain), and
+// Config.BatchDrain turns a drained backlog into one staged batch with
+// a single doorbell.
 type dispatcher struct {
 	srv    *Server
 	st     *stream
@@ -309,18 +323,60 @@ type dispatcher struct {
 	queue  []item
 	err    error
 	client *userlib.Client
-	ready  bool // client setup finished; wakes may target the gate
-	idle   bool // drain parked on the gate (implies empty queue)
+	ready  bool // client setup finished; wakes may schedule the drain
+	idle   bool // drain stopped on an empty queue
 	gate   *sim.Gate
 
-	// doneFn is the completion hook, bound once: every request of this
-	// (stream, node) pair shares it, so hooking a completion allocates
-	// nothing.
-	doneFn func(*gpu.Request)
+	// The request in flight: cur is the item being submitted, step what
+	// the drain owes it next, and held the one-request batch whose
+	// doorbell is on its way (pinning the context until it lands).
+	cur  item
+	step drainStep
+	held userlib.Batch
+	r    *gpu.Request
+	dw   sim.Duration
+
+	// The callbacks, bound once so the hot path allocates nothing:
+	// doneFn is the completion hook every request of this (stream,
+	// node) pair shares; wakeFn restarts an idle drain; landedFn is the
+	// continuation after a fast-path doorbell's DirectWrite.
+	doneFn   func(*gpu.Request)
+	wakeFn   func()
+	landedFn func()
 }
 
-// run opens the tenant's client on the node (anything queued during
-// setup is drained right after), then serves wake-drain cycles.
+// drainStep is what the drain owes its current item next.
+type drainStep uint8
+
+const (
+	stepNext drainStep = iota // take the next queued item
+	stepCold                  // submit the item's working-set rebuild
+	stepMain                  // submit the item's request
+)
+
+func newDispatcher(s *Server, st *stream, n *fleet.Node) *dispatcher {
+	d := &dispatcher{srv: s, st: st, node: n,
+		gate: s.eng.NewGate("dispatch-" + st.spec.Tenant.Name),
+		dw:   n.Kernel.Costs().DirectWrite}
+	d.doneFn = d.onDone
+	d.wakeFn = func() { d.drain(nil) }
+	d.landedFn = d.landed
+	return d
+}
+
+// wake restarts an idle drain at the back of the current instant,
+// where a signalled process would run. Only the idle-to-backlogged
+// transition schedules anything.
+func (d *dispatcher) wake() {
+	if d.ready && d.idle {
+		d.idle = false
+		d.srv.eng.After(0, d.wakeFn)
+	}
+}
+
+// run is the slow-lane process: it opens the tenant's client on the
+// node (anything queued during setup is drained right after), then
+// parks until the machine hands it a submission that must block.
 func (d *dispatcher) run(p *sim.Proc) {
 	client, err := d.st.ft.Client(p, d.node)
 	if err != nil {
@@ -331,48 +387,97 @@ func (d *dispatcher) run(p *sim.Proc) {
 	d.client = client
 	d.ready = true
 	for {
-		if len(d.queue) == 0 {
-			d.idle = true
-			p.Wait(d.gate)
-			continue
-		}
-		if d.srv.batch && d.batchDrain() {
-			continue
-		}
-		it := d.queue[0]
-		d.queue = d.queue[1:]
-		if task := d.st.ft.Task(d.node); task == nil || !task.Alive {
-			// The tenant's context on this node was killed (run-limit or
-			// DoS protection): the queued request can never be served here.
-			d.srv.fleet.RequestDone(d.node)
-			d.st.stats.Aborted++
-			continue
-		}
-		if it.cold {
-			// Rebuild the warm working set ahead of the request, on the
-			// same channel: FIFO ordering makes the reconstruction complete
-			// first, and its device time is real capacity spent — counted
-			// only when the rebuild was actually staged (the task can die
-			// while the virtual context waits for a hardware slot).
-			ws := d.st.spec.Tenant.WorkingSet
-			if d.client.SubmitDetached(p, d.st.kind, ws) != nil {
-				d.st.stats.ColdTime += ws
+		d.drain(p)
+		p.Wait(d.gate)
+	}
+}
+
+// drain advances the queue until the dispatcher must wait: for an
+// arrival (idle), for a fast-path doorbell to land (landed resumes), or
+// for a blocking submission. p is the slow-lane process when the drain
+// runs on it and nil in engine context, where a refusal hands the
+// drain to the process inline and returns once the process blocks.
+func (d *dispatcher) drain(p *sim.Proc) {
+	for {
+		if d.step == stepNext {
+			if len(d.queue) == 0 {
+				d.idle = true
+				return
+			}
+			if d.srv.batch && d.batchDrain() {
+				continue
+			}
+			d.cur = d.queue[0]
+			d.queue = d.queue[1:]
+			if task := d.st.ft.Task(d.node); task == nil || !task.Alive {
+				// The tenant's context on this node was killed (run-limit or
+				// DoS protection): the queued request can never be served here.
+				d.srv.fleet.RequestDone(d.node)
+				d.st.stats.Aborted++
+				continue
+			}
+			d.step = stepMain
+			if d.cur.cold {
+				// Rebuild the warm working set ahead of the request, on the
+				// same channel: FIFO ordering makes the reconstruction
+				// complete first.
+				d.step = stepCold
 			}
 		}
-		r := d.client.SubmitDetached(p, d.st.kind, d.st.size)
-		if r == nil {
-			// The task died while the virtual context waited for a
-			// hardware slot; the request can never be served here.
-			d.srv.fleet.RequestDone(d.node)
-			d.st.stats.Aborted++
-			continue
+		size := d.st.size
+		if d.step == stepCold {
+			size = d.st.spec.Tenant.WorkingSet
 		}
-		r.Stamp = it.arrival
-		if r.IsDone() {
-			d.onDone(r)
-		} else {
-			r.OnDone = d.doneFn
+		if b, ok := d.client.BeginBatch(d.st.kind); ok {
+			d.r = b.Stage(size, d.st.kind, nil)
+			b.Ring(d.srv.eng)
+			d.held = b
+			d.srv.eng.After(d.dw, d.landedFn)
+			return
 		}
+		if p == nil {
+			d.gate.Handoff()
+			return
+		}
+		d.submitted(d.client.SubmitDetached(p, d.st.kind, size))
+	}
+}
+
+// landed is the fast path's continuation, DirectWrite after the
+// doorbell (right behind its delivery): unpin the context, account the
+// submission, and drain on.
+func (d *dispatcher) landed() {
+	d.held.Close()
+	r := d.r
+	d.r = nil
+	d.submitted(r)
+	d.drain(nil)
+}
+
+// submitted accounts one finished submission of the current item; r is
+// nil when the task died while its virtual context waited for a
+// hardware slot, so nothing reached the device.
+func (d *dispatcher) submitted(r *gpu.Request) {
+	if d.step == stepCold {
+		// The rebuild's device time is real capacity spent — counted
+		// only when it was actually staged.
+		if r != nil {
+			d.st.stats.ColdTime += d.st.spec.Tenant.WorkingSet
+		}
+		d.step = stepMain
+		return
+	}
+	d.step = stepNext
+	if r == nil {
+		d.srv.fleet.RequestDone(d.node)
+		d.st.stats.Aborted++
+		return
+	}
+	r.Stamp = d.cur.arrival
+	if r.IsDone() {
+		d.onDone(r)
+	} else {
+		r.OnDone = d.doneFn
 	}
 }
 
