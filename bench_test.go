@@ -316,6 +316,68 @@ func BenchmarkDFQCycleTenants1e2(b *testing.B) { benchDFQCycleTenants(b, 100) }
 func BenchmarkDFQCycleTenants1e4(b *testing.B) { benchDFQCycleTenants(b, 10_000) }
 func BenchmarkDFQCycleTenants1e5(b *testing.B) { benchDFQCycleTenants(b, 100_000) }
 
+// BenchmarkDFQEpisodeTenants1e4 is the scheduler-layer rung above the
+// ledger-only DFQCycleTenants trio: whole DFQ engagement/free-run cycles
+// (barrier, drain, virtual-time maintenance, free-run grant) on a kernel
+// hosting 10^4 registered tasks. Four weighted tenants stay backlogged —
+// parked waiting for a hardware context that an idle raw client holds,
+// as storm's tenants queue for the 48-slot pool — so every episode
+// marks them active, charges them, checks their leads and denies the
+// one furthest ahead, while they hold no channel a sampling run could
+// observe. Each episode still walks, engages and drains all 10^4 tasks,
+// so allocs/op is the per-tenant cost of the episode around the ledger;
+// it sits at 0 (task scheduler state on neon.Task.Sched, drain targets
+// and stamps on channels and tasks, reused walk buffers) and CI gates it
+// absolutely.
+func BenchmarkDFQEpisodeTenants1e4(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine()
+	cfg := gpu.DefaultConfig()
+	cfg.MaxContexts = 1
+	dev := gpu.New(eng, cfg)
+	dfq := core.NewDisengagedFairQueueing(core.DefaultDFQConfig())
+	k := neon.NewKernel(dev, dfq)
+	holder := k.NewTask("holder")
+	holder.Go("open", func(p *sim.Proc) {
+		ctx, err := k.CreateContext(p, holder, "holder")
+		if err == nil {
+			_, err = k.CreateChannel(p, holder, ctx, gpu.Compute)
+		}
+		if err != nil {
+			b.Error(err)
+		}
+	})
+	eng.RunFor(time.Millisecond)
+	for i := 0; i < 10_000; i++ {
+		k.NewTask(fmt.Sprintf("idle-%05d", i))
+	}
+	for w := 1; w <= 4; w++ {
+		t := k.NewTask(fmt.Sprintf("backlogged-%d", w))
+		t.Weight = float64(w)
+		t.Go("open", func(p *sim.Proc) {
+			vc, err := k.OpenVirtual(p, t, t.Name, gpu.Compute)
+			if err == nil {
+				_, err = vc.Acquire(p, gpu.Compute) // waits for a slot forever
+			}
+			if err != nil {
+				b.Error(err)
+			}
+		})
+	}
+	// Warm up until every reused buffer has grown and some tenant has
+	// been denied a free run.
+	eng.RunFor(300 * time.Millisecond)
+	if dfq.Denials == 0 {
+		b.Fatal("warm-up denied no backlogged tenant")
+	}
+	cycles := dfq.Cycles
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.RunFor(30 * time.Millisecond)
+	}
+	b.ReportMetric(float64(dfq.Cycles-cycles)/float64(b.N), "cycles/op")
+}
+
 // BenchmarkBoardReconcile measures one fleet reconciliation episode on
 // a board already holding 10^4 registered, fleet-active principals: 64
 // charges plus activity marks folded into the sharded ledger through

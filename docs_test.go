@@ -82,7 +82,8 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
 		"BenchmarkDispatcherDrain",
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
-		"BENCH_8.json", "BENCH_9.json", "BENCH_12.json", "DESIGN.md §11", "DESIGN.md §12",
+		"BENCH_8.json", "BENCH_9.json", "BENCH_12.json", "BENCH_13.json",
+		"BenchmarkDFQEpisodeTenants1e4", "DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
 		if !strings.Contains(doc, want) {
@@ -150,6 +151,8 @@ func TestDesignDocCoversScaleIndex(t *testing.T) {
 		"FuzzDFQIndexOps", "TestFlowIndexStaleHandles",
 		"TestBoardShardCountInvariance", "TestBoardEpochLeadBound",
 		"TestBoardShardUnderflowPanic", "BenchmarkDFQCycleTenants",
+		"neon.Task.Sched", "neon.Kernel.AppendTasks", "DrainResult.DrainedAt",
+		"BenchmarkDFQEpisodeTenants1e4", "TestDrainAllocatesNothingAt1e4Tasks",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

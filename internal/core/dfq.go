@@ -88,6 +88,8 @@ type EpisodeEntry struct {
 // tenants hold unequal contractual shares.
 type FleetVT interface {
 	// Principal interns a task name, returning its stable handle.
+	// Handles are dense slot numbers (0, 1, 2, ... in first-seen
+	// order), so reporters may index per-principal scratch by them.
 	Principal(name string) PrincipalID
 	// ReconcileEpisodeBatch folds one device episode into the fleet
 	// virtual times and writes each entry's Lead in place.
@@ -114,10 +116,11 @@ const (
 	dfqFreeRun
 )
 
-// dfqTask is the per-task scheduler state. The task's virtual time —
-// its estimated cumulative usage in normalized work units divided by
-// its fair-share weight (probabilistically updated, per the paper) —
-// lives in the scheduler's DFQLedger, addressed by flow.
+// dfqTask is the per-task scheduler state, kept in neon.Task.Sched. The
+// task's virtual time — its estimated cumulative usage in normalized
+// work units divided by its fair-share weight (probabilistically
+// updated, per the paper) — lives in the scheduler's DFQLedger,
+// addressed by flow.
 type dfqTask struct {
 	// flow is the task's slot in the virtual-time ledger.
 	flow FlowID
@@ -163,7 +166,6 @@ type DisengagedFairQueueing struct {
 	k         *neon.Kernel
 	mode      dfqMode
 	sampled   *neon.Task
-	st        map[*neon.Task]*dfqTask
 	ledger    DFQLedger
 	admitGate *sim.Gate
 	speed     float64 // device class speed factor, set at Start
@@ -182,11 +184,16 @@ type DisengagedFairQueueing struct {
 	maxFreeRun     Work
 	maxWindow      Work
 
-	// batch and batchIdx are the reusable fleet episode report: one
-	// entry per distinct principal, rebuilt in place every episode so
-	// the steady-state exchange allocates nothing.
+	// Reused episode scratch, so the steady-state episode allocates
+	// nothing: the live-task walk, the active and charged subsets, and
+	// the fleet report — one batch entry per distinct principal, found
+	// through batchIdx, indexed by principal handle and holding the
+	// entry's position plus one (zero: no entry this episode).
+	live     []*neon.Task
+	active   []*neon.Task
+	charged  []*neon.Task
 	batch    []EpisodeEntry
-	batchIdx map[PrincipalID]int32
+	batchIdx []int32
 }
 
 // NewDisengagedFairQueueing returns the scheduler with the given
@@ -218,7 +225,6 @@ func NewDisengagedFairQueueingWithLedger(cfg DFQConfig, kind DFQLedgerKind) *Dis
 	}
 	return &DisengagedFairQueueing{
 		cfg:    cfg,
-		st:     make(map[*neon.Task]*dfqTask),
 		ledger: NewDFQLedger(kind),
 	}
 }
@@ -235,7 +241,7 @@ func (d *DisengagedFairQueueing) LedgerKind() DFQLedgerKind { return d.ledger.Ki
 // VirtualTime returns the task's current virtual time in normalized
 // work, for tests.
 func (d *DisengagedFairQueueing) VirtualTime(t *neon.Task) Work {
-	if s := d.st[t]; s != nil {
+	if s := d.lookup(t); s != nil {
 		return d.ledger.VT(s.flow)
 	}
 	return 0
@@ -247,7 +253,7 @@ func (d *DisengagedFairQueueing) SystemVirtualTime() Work { return d.ledger.SysV
 
 // Estimate returns the task's sampled mean request size, for tests.
 func (d *DisengagedFairQueueing) Estimate(t *neon.Task) sim.Duration {
-	if s := d.st[t]; s != nil {
+	if s := d.lookup(t); s != nil {
 		return s.est
 	}
 	return 0
@@ -283,7 +289,7 @@ func (d *DisengagedFairQueueing) LeadBound() Work {
 
 // Denied reports whether the task is excluded from the current free run.
 func (d *DisengagedFairQueueing) Denied(t *neon.Task) bool {
-	s := d.st[t]
+	s := d.lookup(t)
 	return s != nil && s.denied
 }
 
@@ -306,16 +312,16 @@ func (d *DisengagedFairQueueing) chargeSpeed() float64 {
 
 // TaskAdmitted implements neon.Scheduler.
 func (d *DisengagedFairQueueing) TaskAdmitted(t *neon.Task) {
-	d.st[t] = &dfqTask{est: d.cfg.DefaultEstimate, flow: d.ledger.Add()}
+	t.Sched = &dfqTask{est: d.cfg.DefaultEstimate, flow: d.ledger.Add()}
 	d.admitGate.Broadcast()
 }
 
 // TaskExited implements neon.Scheduler.
 func (d *DisengagedFairQueueing) TaskExited(t *neon.Task) {
-	if s := d.st[t]; s != nil {
+	if s := d.lookup(t); s != nil {
 		d.ledger.Remove(s.flow)
 	}
-	delete(d.st, t)
+	t.Sched = nil
 }
 
 // ChannelActivated implements neon.Scheduler: new channels are mapped
@@ -336,7 +342,7 @@ func (d *DisengagedFairQueueing) mayRun(t *neon.Task) bool {
 	case dfqSampling:
 		return t == d.sampled
 	case dfqFreeRun:
-		s := d.st[t]
+		s := d.lookup(t)
 		return s == nil || !s.denied
 	default: // barrier
 		return false
@@ -347,7 +353,8 @@ func (d *DisengagedFairQueueing) mayRun(t *neon.Task) bool {
 func (d *DisengagedFairQueueing) run(p *sim.Proc) {
 	lastBarrier := p.Now()
 	for {
-		live := d.k.Tasks()
+		d.live = d.k.AppendTasks(d.live[:0])
+		live := d.live
 		if len(live) == 0 {
 			p.Wait(d.admitGate)
 			lastBarrier = p.Now()
@@ -413,11 +420,14 @@ func (d *DisengagedFairQueueing) run(p *sim.Proc) {
 		engElapsed := p.Now().Sub(engStart)
 		nominal := d.cfg.SamplePeriod * sim.Duration(max(1, sampledCount))
 		freeRun := sim.Duration(d.cfg.FreeRunMultiplier) * maxDur(engElapsed, nominal)
-		d.maintainVirtualTime(window, freeRun)
+		// Nothing from here to the free-run sleep yields, so one walk
+		// serves the maintenance and the free-run grant.
+		d.live = d.k.AppendTasks(d.live[:0])
+		d.maintainVirtualTime(d.live, window, freeRun)
 
 		// --- Disengaged free run. ---
 		d.mode = dfqFreeRun
-		for _, t := range d.k.Tasks() {
+		for _, t := range d.live {
 			s := d.state(t)
 			if s.denied {
 				d.Denials++
@@ -451,15 +461,15 @@ func (d *DisengagedFairQueueing) run(p *sim.Proc) {
 // indexed ledger does each step in O(log active), the linear ledger in
 // one scan per cycle, and the differential tests pin that both produce
 // identical virtual times and denial decisions.
-func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duration) {
+func (d *DisengagedFairQueueing) maintainVirtualTime(live []*neon.Task, window, freeRun sim.Duration) {
 	speed := d.chargeSpeed()
 	windowW := WorkFor(window, speed)
 	freeRunW := WorkFor(freeRun, speed)
 
 	var estSum sim.Duration
-	var active, charged []*neon.Task
+	active, charged := d.active[:0], d.charged[:0]
 	minWeight := 1.0
-	for _, t := range d.k.Tasks() {
+	for _, t := range live {
 		s := d.state(t)
 		s.charge = 0
 		d.ledger.SetActive(s.flow, s.activeAtBarrier)
@@ -474,13 +484,14 @@ func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duratio
 			}
 		}
 	}
+	d.active, d.charged = active, charged
 
 	// Step 1: advance each running task's virtual time by its estimated
 	// share of the elapsed interval, normalized to work units and scaled
 	// down by its weight.
 	if estSum > 0 {
 		for _, t := range charged {
-			s := d.st[t]
+			s := d.state(t)
 			delta := PerWeight(
 				WorkFor(sim.Duration(float64(window)*float64(s.est)/float64(estSum)), speed),
 				t.ShareWeight())
@@ -508,7 +519,7 @@ func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duratio
 		d.maxWindow = episodeW
 	}
 	for _, t := range active {
-		lead := d.ledger.Lead(d.st[t].flow)
+		lead := d.ledger.Lead(d.state(t).flow)
 		if lead > d.MaxLead {
 			d.MaxLead = lead
 		}
@@ -531,46 +542,60 @@ func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duratio
 		// Build the reusable episode batch: one entry per distinct
 		// principal name (same-named tasks fold — charges sum, activity
 		// ORs), zero steady-state allocations.
-		if d.batchIdx == nil {
-			d.batchIdx = make(map[PrincipalID]int32)
-		}
 		d.batch = d.batch[:0]
-		for _, t := range d.k.Tasks() {
+		for _, t := range live {
 			s := d.state(t)
 			if !s.pidSet {
 				s.pid = d.cfg.Fleet.Principal(t.Name)
 				s.pidSet = true
 			}
-			idx, ok := d.batchIdx[s.pid]
-			if !ok {
-				idx = int32(len(d.batch))
+			if n := int(s.pid) + 1; n > len(d.batchIdx) {
+				d.batchIdx = append(d.batchIdx, make([]int32, n-len(d.batchIdx))...)
+			}
+			idx := d.batchIdx[s.pid]
+			if idx == 0 {
 				d.batch = append(d.batch, EpisodeEntry{Principal: s.pid, Marked: true})
+				idx = int32(len(d.batch))
 				d.batchIdx[s.pid] = idx
 			}
-			e := &d.batch[idx]
+			e := &d.batch[idx-1]
 			e.Charge += s.charge
 			e.Active = e.Active || s.activeAtBarrier
 		}
 		d.cfg.Fleet.ReconcileEpisodeBatch(d.k.Label, d.batch)
-		for _, t := range d.k.Tasks() {
+		for _, t := range live {
 			s := d.state(t)
-			s.denied = d.batch[d.batchIdx[s.pid]].Lead >= freeRunW
+			s.denied = d.batch[d.batchIdx[s.pid]-1].Lead >= freeRunW
 		}
-		clear(d.batchIdx)
+		for _, e := range d.batch {
+			d.batchIdx[e.Principal] = 0
+		}
 		return
 	}
-	for _, t := range d.k.Tasks() {
+	for _, t := range live {
 		s := d.state(t)
 		s.denied = d.ledger.Lead(s.flow) >= freeRunW
 	}
 }
 
+// state returns the task's scheduler state, creating it for a task
+// the scheduler has not seen. t must belong to this scheduler's kernel.
 func (d *DisengagedFairQueueing) state(t *neon.Task) *dfqTask {
-	s := d.st[t]
+	s, _ := t.Sched.(*dfqTask)
 	if s == nil {
 		s = &dfqTask{est: d.cfg.DefaultEstimate, flow: d.ledger.Add()}
-		d.st[t] = s
+		t.Sched = s
 	}
+	return s
+}
+
+// lookup returns the task's scheduler state, or nil for a task this
+// scheduler has not admitted or has seen exit.
+func (d *DisengagedFairQueueing) lookup(t *neon.Task) *dfqTask {
+	if t.Kernel() != d.k {
+		return nil
+	}
+	s, _ := t.Sched.(*dfqTask)
 	return s
 }
 

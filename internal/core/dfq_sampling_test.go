@@ -30,7 +30,7 @@ func TestDFQMultiChannelSampleTarget(t *testing.T) {
 		}
 	})
 	h.eng.RunFor(300 * time.Millisecond)
-	s := sched.st[multi]
+	s := sched.lookup(multi)
 	if s == nil {
 		t.Fatal("no scheduler state for the task")
 	}

@@ -23,9 +23,9 @@ type OracleFairQueueing struct {
 
 	k         *neon.Kernel
 	speed     float64 // device class speed factor, set at Start
-	st        map[*neon.Task]*oracleTask
 	admitGate *sim.Gate
 	sysVT     Work
+	live      []*neon.Task // reused per-interval task walk
 
 	// Intervals counts completed accounting rounds, for tests.
 	Intervals int64
@@ -33,10 +33,14 @@ type OracleFairQueueing struct {
 	Denials int64
 }
 
+// oracleTask is the per-task scheduler state, kept in neon.Task.Sched.
 type oracleTask struct {
 	vt       Work
 	lastBusy sim.Duration
 	denied   bool
+	// active marks the task as backlogged or consuming in the current
+	// accounting round.
+	active bool
 }
 
 // NewOracleFairQueueing returns the hardware-statistics scheduler.
@@ -44,7 +48,7 @@ func NewOracleFairQueueing(interval sim.Duration) *OracleFairQueueing {
 	if interval <= 0 {
 		interval = DefaultOracleInterval
 	}
-	return &OracleFairQueueing{interval: interval, st: make(map[*neon.Task]*oracleTask)}
+	return &OracleFairQueueing{interval: interval}
 }
 
 // Name implements neon.Scheduler.
@@ -53,7 +57,7 @@ func (o *OracleFairQueueing) Name() string { return "oracle-fair-queueing" }
 // VirtualTime returns the task's virtual time in normalized work, for
 // tests.
 func (o *OracleFairQueueing) VirtualTime(t *neon.Task) Work {
-	if s := o.st[t]; s != nil {
+	if s := o.lookup(t); s != nil {
 		return s.vt
 	}
 	return 0
@@ -61,7 +65,7 @@ func (o *OracleFairQueueing) VirtualTime(t *neon.Task) Work {
 
 // Denied reports whether the task is currently excluded.
 func (o *OracleFairQueueing) Denied(t *neon.Task) bool {
-	s := o.st[t]
+	s := o.lookup(t)
 	return s != nil && s.denied
 }
 
@@ -75,12 +79,12 @@ func (o *OracleFairQueueing) Start(k *neon.Kernel) {
 
 // TaskAdmitted implements neon.Scheduler.
 func (o *OracleFairQueueing) TaskAdmitted(t *neon.Task) {
-	o.st[t] = &oracleTask{vt: o.sysVT}
+	t.Sched = &oracleTask{vt: o.sysVT}
 	o.admitGate.Broadcast()
 }
 
 // TaskExited implements neon.Scheduler.
-func (o *OracleFairQueueing) TaskExited(t *neon.Task) { delete(o.st, t) }
+func (o *OracleFairQueueing) TaskExited(t *neon.Task) { t.Sched = nil }
 
 // ChannelActivated implements neon.Scheduler.
 func (o *OracleFairQueueing) ChannelActivated(cs *neon.ChannelState) {
@@ -97,8 +101,7 @@ func (o *OracleFairQueueing) HandleFault(p *sim.Proc, t *neon.Task, cs *neon.Cha
 // fair-queueing state. No draining or sampling is ever needed.
 func (o *OracleFairQueueing) run(p *sim.Proc) {
 	for {
-		live := o.k.Tasks()
-		if len(live) == 0 {
+		if o.live = o.k.AppendTasks(o.live[:0]); len(o.live) == 0 {
 			p.Wait(o.admitGate)
 			continue
 		}
@@ -106,48 +109,41 @@ func (o *OracleFairQueueing) run(p *sim.Proc) {
 		p.Sleep(o.k.Costs().SchedulerCompute)
 		o.Intervals++
 		o.k.EnforceRunLimit()
+		// Nothing below yields or kills, so one walk serves all steps.
+		o.live = o.k.AppendTasks(o.live[:0])
 
 		// Step 1: charge true per-task usage, read from the device,
 		// normalized to work units at the device's class speed, and
-		// divided by the task's fair-share weight.
-		var active []*neon.Task
-		for _, t := range o.k.Tasks() {
+		// divided by the task's fair-share weight. The system virtual
+		// time advances to the least virtual time among active tasks.
+		var minVT Work
+		anyActive := false
+		for _, t := range o.live {
 			s := o.state(t)
 			busy := t.BusyTime()
 			delta := busy - s.lastBusy
 			s.lastBusy = busy
 			s.vt += PerWeight(WorkFor(delta, o.speed), t.ShareWeight())
-			if delta > 0 || t.PendingRequests() > 0 || t.Gate().Waiters() > 0 {
-				active = append(active, t)
+			s.active = delta > 0 || t.PendingRequests() > 0 || t.Gate().Waiters() > 0
+			if s.active && (!anyActive || s.vt < minVT) {
+				minVT, anyActive = s.vt, true
 			}
 		}
-		if len(active) > 0 {
-			minVT := o.st[active[0]].vt
-			for _, t := range active[1:] {
-				if o.st[t].vt < minVT {
-					minVT = o.st[t].vt
-				}
-			}
-			if minVT > o.sysVT {
-				o.sysVT = minVT
-			}
+		if anyActive && minVT > o.sysVT {
+			o.sysVT = minVT
 		}
 
 		// Step 2: idle tasks forfeit unused credit.
-		activeSet := make(map[*neon.Task]bool, len(active))
-		for _, t := range active {
-			activeSet[t] = true
-		}
-		for _, t := range o.k.Tasks() {
+		for _, t := range o.live {
 			s := o.state(t)
-			if !activeSet[t] && s.vt < o.sysVT {
+			if !s.active && s.vt < o.sysVT {
 				s.vt = o.sysVT
 			}
 		}
 
 		// Step 3: deny tasks too far ahead; admit the rest.
 		horizon := WorkFor(o.interval, o.speed)
-		for _, t := range o.k.Tasks() {
+		for _, t := range o.live {
 			s := o.state(t)
 			denied := s.vt-o.sysVT >= horizon
 			if denied && !s.denied {
@@ -165,12 +161,24 @@ func (o *OracleFairQueueing) run(p *sim.Proc) {
 	}
 }
 
+// state returns the task's scheduler state, creating it for a task
+// the scheduler has not seen. t must belong to this scheduler's kernel.
 func (o *OracleFairQueueing) state(t *neon.Task) *oracleTask {
-	s := o.st[t]
+	s, _ := t.Sched.(*oracleTask)
 	if s == nil {
 		s = &oracleTask{vt: o.sysVT}
-		o.st[t] = s
+		t.Sched = s
 	}
+	return s
+}
+
+// lookup returns the task's scheduler state, or nil for a task this
+// scheduler has not admitted or has seen exit.
+func (o *OracleFairQueueing) lookup(t *neon.Task) *oracleTask {
+	if t.Kernel() != o.k {
+		return nil
+	}
+	s, _ := t.Sched.(*oracleTask)
 	return s
 }
 

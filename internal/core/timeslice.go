@@ -45,8 +45,8 @@ type Timeslice struct {
 	rotation  []*neon.Task
 	next      int
 	holder    *neon.Task
-	overuse   map[*neon.Task]Work
 	admitGate *sim.Gate
+	drainSet  [1]*neon.Task // the holder, as Drain's task list
 
 	// SlicesGranted counts slices actually granted, for tests.
 	SlicesGranted int64
@@ -56,7 +56,7 @@ type Timeslice struct {
 
 // NewTimeslice returns the engaged variant: every request is intercepted.
 func NewTimeslice(slice sim.Duration) *Timeslice {
-	return &Timeslice{slice: slice, overuse: make(map[*neon.Task]Work)}
+	return &Timeslice{slice: slice}
 }
 
 // NewDisengagedTimeslice returns the disengaged variant: the token holder
@@ -81,8 +81,33 @@ func (ts *Timeslice) Slice() sim.Duration { return ts.slice }
 // Holder returns the current token holder (nil between slices).
 func (ts *Timeslice) Holder() *neon.Task { return ts.holder }
 
+// tsTask is the per-task scheduler state, kept in neon.Task.Sched.
+type tsTask struct {
+	// overuse is the accrued overuse charge in normalized work.
+	overuse Work
+}
+
 // Overuse returns the task's accrued overuse charge in normalized work.
-func (ts *Timeslice) Overuse(t *neon.Task) Work { return ts.overuse[t] }
+func (ts *Timeslice) Overuse(t *neon.Task) Work {
+	if t.Kernel() != ts.k {
+		return 0
+	}
+	if s, _ := t.Sched.(*tsTask); s != nil {
+		return s.overuse
+	}
+	return 0
+}
+
+// state returns the task's scheduler state, creating it for a task
+// the scheduler has not seen. t must belong to this scheduler's kernel.
+func (ts *Timeslice) state(t *neon.Task) *tsTask {
+	s, _ := t.Sched.(*tsTask)
+	if s == nil {
+		s = &tsTask{}
+		t.Sched = s
+	}
+	return s
+}
 
 // Start implements neon.Scheduler.
 func (ts *Timeslice) Start(k *neon.Kernel) {
@@ -98,6 +123,7 @@ func (ts *Timeslice) sliceWork() Work { return WorkFor(ts.slice, ts.speed) }
 
 // TaskAdmitted implements neon.Scheduler.
 func (ts *Timeslice) TaskAdmitted(t *neon.Task) {
+	t.Sched = &tsTask{}
 	ts.rotation = append(ts.rotation, t)
 	ts.admitGate.Broadcast()
 }
@@ -113,7 +139,7 @@ func (ts *Timeslice) TaskExited(t *neon.Task) {
 			break
 		}
 	}
-	delete(ts.overuse, t)
+	t.Sched = nil
 	if ts.holder == t {
 		ts.holder = nil
 	}
@@ -157,9 +183,10 @@ func (ts *Timeslice) run(p *sim.Proc) {
 			if ts.disengaged {
 				ts.k.Engage(t)
 			}
-			res := ts.k.Drain(p, []*neon.Task{t})
+			ts.drainSet[0] = t
+			res := ts.k.Drain(p, ts.drainSet[:])
 			if t.Alive {
-				ts.overuse[t] += PerWeight(WorkFor(res.Overuse(t, deadline), ts.speed), t.ShareWeight())
+				ts.state(t).overuse += PerWeight(WorkFor(res.Overuse(t, deadline), ts.speed), t.ShareWeight())
 			}
 		}
 	}
@@ -186,8 +213,8 @@ func (ts *Timeslice) pick() *neon.Task {
 		if !t.Alive {
 			continue
 		}
-		if quantum := ts.sliceWork(); ts.overuse[t] >= quantum {
-			ts.overuse[t] -= quantum
+		if s, quantum := ts.state(t), ts.sliceWork(); s.overuse >= quantum {
+			s.overuse -= quantum
 			ts.TurnsSkipped++
 			continue
 		}

@@ -8,18 +8,30 @@ import (
 type DrainResult struct {
 	// Started is when the barrier began.
 	Started sim.Time
-	// DrainedAt maps each task to the virtual time at which its last
-	// outstanding request was observed complete (quantized to the polling
-	// granularity, as in the prototype).
-	DrainedAt map[*Task]sim.Time
 	// Killed lists tasks terminated for exceeding the request run limit.
 	Killed []*Task
+
+	// epoch identifies the drain whose per-task stamps this result
+	// reads; zero for a result no drain produced.
+	epoch uint64
+}
+
+// DrainedAt returns the virtual time at which the task's last
+// outstanding request was observed complete (quantized to the polling
+// granularity, as in the prototype), and whether the drain covered the
+// task at all. The time is a stamp on the task, so a result answers
+// only until a later Drain covers the same task.
+func (r DrainResult) DrainedAt(t *Task) (sim.Time, bool) {
+	if r.epoch == 0 || t.drainEpoch != r.epoch {
+		return 0, false
+	}
+	return t.drainedAt, true
 }
 
 // Overuse returns how far past deadline the task's outstanding requests
 // ran, or zero. Timeslice schedulers charge this against future slices.
 func (r DrainResult) Overuse(t *Task, deadline sim.Time) sim.Duration {
-	at, ok := r.DrainedAt[t]
+	at, ok := r.DrainedAt(t)
 	if !ok || at <= deadline {
 		return 0
 	}
@@ -40,21 +52,32 @@ func (r DrainResult) Overuse(t *Task, deadline sim.Time) sim.Duration {
 // holder (timeslice) or the sampled task; here we consult the device's
 // current request, standing in for the Section 6.2 vendor mechanism to
 // "identify and kill the currently running context".
+//
+// Drain allocates nothing once the kernel's scratch buffer has grown to
+// the population: scan targets live on the channels and drain times on
+// the tasks, both tagged with the drain's epoch. Drains on one kernel
+// therefore run one at a time — each scheduler drives them from its
+// single control process — and an overlapping call panics.
 func (k *Kernel) Drain(p *sim.Proc, tasks []*Task) DrainResult {
-	res := DrainResult{Started: p.Now(), DrainedAt: make(map[*Task]sim.Time)}
+	if k.draining {
+		panic("neon: overlapping Drain on kernel " + k.Label)
+	}
+	k.draining = true
+	remaining := append(k.drainBuf[:0], tasks...)
+	defer func() { k.drainBuf, k.draining = remaining[:0], false }()
+	k.drainEpoch++
+	res := DrainResult{Started: p.Now(), epoch: k.drainEpoch}
 
 	// Status update: scan every active channel for its last submitted
 	// reference value.
-	targets := make(map[*ChannelState]uint64)
 	for _, t := range tasks {
 		for _, cs := range t.channels {
 			p.Sleep(k.costs.ReengageScan)
-			targets[cs] = cs.Ch.LastSubmittedRef
+			cs.drainTarget = cs.Ch.LastSubmittedRef
+			cs.drainEpoch = res.epoch
 		}
 	}
 
-	remaining := make([]*Task, 0, len(tasks))
-	remaining = append(remaining, tasks...)
 	lastProgress := p.Now()
 	var lastSnapshot = k.refSnapshot(remaining)
 
@@ -63,12 +86,8 @@ func (k *Kernel) Drain(p *sim.Proc, tasks []*Task) DrainResult {
 		// not working on the tasks' requests.
 		still := remaining[:0]
 		for _, t := range remaining {
-			if !t.Alive {
-				res.DrainedAt[t] = p.Now()
-				continue
-			}
-			if k.taskDrained(t, targets) {
-				res.DrainedAt[t] = p.Now()
+			if !t.Alive || k.taskDrained(t, res.epoch) {
+				t.drainEpoch, t.drainedAt = res.epoch, p.Now()
 				continue
 			}
 			still = append(still, t)
@@ -94,10 +113,11 @@ func (k *Kernel) Drain(p *sim.Proc, tasks []*Task) DrainResult {
 }
 
 // taskDrained reports whether all of the task's channels have reached
-// their scan targets.
-func (k *Kernel) taskDrained(t *Task, targets map[*ChannelState]uint64) bool {
+// their scan targets in the given drain. A channel this drain never
+// scanned (created after the status update) has no target to reach.
+func (k *Kernel) taskDrained(t *Task, epoch uint64) bool {
 	for _, cs := range t.channels {
-		if cs.Ch.RefCount < targets[cs] {
+		if cs.drainEpoch == epoch && cs.Ch.RefCount < cs.drainTarget {
 			return false
 		}
 	}

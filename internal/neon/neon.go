@@ -73,9 +73,12 @@ type ChannelState struct {
 	// Faults counts intercepted submissions on this channel.
 	Faults int64
 
-	sampling    bool
-	watchedRef  uint64
+	sampling   bool
+	watchedRef uint64
+	// drainTarget is the reference value the current drain waits for,
+	// valid while drainEpoch names that drain (see Kernel.Drain).
 	drainTarget uint64
+	drainEpoch  uint64
 }
 
 // ChannelPolicy is the Section 6.3 protected-allocation policy: no task
@@ -118,6 +121,13 @@ type Kernel struct {
 	// Counters for experiments.
 	TotalFaults int64
 	Kills       int64
+
+	// Drain state: the epoch of the latest drain (stamped on the
+	// channels and tasks it touches), whether one is in flight, and
+	// its reused working set.
+	drainEpoch uint64
+	draining   bool
+	drainBuf   []*Task
 }
 
 // NewKernel attaches a kernel to the device and starts the scheduler.
@@ -147,15 +157,22 @@ func (k *Kernel) Costs() cost.Model { return k.costs }
 // Scheduler returns the attached scheduling policy.
 func (k *Kernel) Scheduler() Scheduler { return k.sched }
 
-// Tasks returns live tasks in admission order.
+// Tasks returns live tasks in admission order, in a new slice.
 func (k *Kernel) Tasks() []*Task {
-	out := make([]*Task, 0, len(k.taskOrder))
+	return k.AppendTasks(make([]*Task, 0, len(k.taskOrder)))
+}
+
+// AppendTasks appends the live tasks, in admission order, to dst and
+// returns the extended slice. A scheduler that walks the population
+// every episode passes a reused buffer, so the walk allocates nothing
+// once the buffer has grown.
+func (k *Kernel) AppendTasks(dst []*Task) []*Task {
 	for _, t := range k.taskOrder {
 		if t.Alive {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	return out
+	return dst
 }
 
 // NewTask admits a new resource principal (an OS process).
@@ -264,8 +281,10 @@ func (k *Kernel) Disengage(t *Task) {
 
 // EngageAll engages every live task (a barrier precondition).
 func (k *Kernel) EngageAll() {
-	for _, t := range k.Tasks() {
-		k.Engage(t)
+	for _, t := range k.taskOrder {
+		if t.Alive {
+			k.Engage(t)
+		}
 	}
 }
 

@@ -167,7 +167,7 @@ func TestDrainWaitsForOutstanding(t *testing.T) {
 		res = k.Drain(p, []*Task{task})
 	})
 	e.RunFor(10 * time.Millisecond)
-	at, ok := res.DrainedAt[task]
+	at, ok := res.DrainedAt(task)
 	if !ok {
 		t.Fatal("drain never completed")
 	}
@@ -252,7 +252,7 @@ func TestDrainKillsHungTask(t *testing.T) {
 	if !victim.Alive {
 		t.Fatal("innocent task killed")
 	}
-	if _, ok := res.DrainedAt[victim]; !ok {
+	if _, ok := res.DrainedAt(victim); !ok {
 		t.Fatal("victim never drained after the kill")
 	}
 	if k.Kills != 1 {

@@ -49,8 +49,15 @@ type Task struct {
 	// sample is the in-progress sampling run, if any.
 	sample *sampleState
 
-	// Sched is scratch space for the attached scheduler's per-task state
-	// (virtual times, overuse, token bookkeeping). Owned by the scheduler.
+	// drainedAt is when the drain numbered drainEpoch saw the task's
+	// last outstanding request complete (DrainResult.DrainedAt).
+	drainEpoch uint64
+	drainedAt  sim.Time
+
+	// Sched holds the attached scheduler's per-task state (virtual
+	// times, estimates, overuse), so schedulers reach it without a
+	// task-keyed map. Owned by the scheduler, which sets it at
+	// TaskAdmitted and clears it at TaskExited.
 	Sched any
 }
 

@@ -232,12 +232,16 @@ func (s *Server) SetupError() error {
 
 // ResetStats clears stream, admission, and fleet counters (warmup
 // exclusion). In-flight requests stay in flight; their latencies land
-// in the new window, as on a live system.
+// in the new window, as on a live system. Each stream's latency digest
+// is cleared in place, keeping its bucket storage, so the window's
+// first completions do not regrow it.
 func (s *Server) ResetStats() {
 	s.adm.ResetStats()
 	s.fleet.ResetStats()
 	for _, st := range s.streams {
-		st.stats = StreamStats{}
+		lat := st.stats.Latency
+		lat.Reset()
+		st.stats = StreamStats{Latency: lat}
 	}
 }
 

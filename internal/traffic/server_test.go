@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -113,6 +114,52 @@ func TestServeResetStats(t *testing.T) {
 	eng.RunFor(200 * time.Millisecond)
 	if st := srv.Stats(0); st.Completed == 0 {
 		t.Fatal("no completions after ResetStats")
+	}
+}
+
+// TestServeResetStatsKeepsDigestStorage: ResetStats clears each
+// stream's latency digest in place. A completion that lands at or below
+// the pre-reset maximum bucket then records without allocating, and the
+// cleared digest reports exactly what a fresh one fed the same values
+// does.
+func TestServeResetStatsKeepsDigestStorage(t *testing.T) {
+	eng, srv := oneStream(t, "direct", 0, 200*us, Deterministic{Rate: 1000})
+	eng.RunFor(100 * time.Millisecond)
+	lat := &srv.Stats(0).Latency
+	if lat.N() == 0 {
+		t.Fatal("no completions before ResetStats")
+	}
+	top := lat.Max()
+	srv.ResetStats()
+	lat = &srv.Stats(0).Latency
+	if lat.N() != 0 || lat.Max() != 0 {
+		t.Fatal("ResetStats left latency observations behind")
+	}
+
+	// Rising values: on a digest that lost its storage, each measured
+	// Add past the warm-up would grow the bucket slice.
+	vals := []time.Duration{0, 3 * us, top / 7, top / 2, top}
+	var fresh metrics.Digest
+	for _, v := range vals {
+		fresh.Add(v)
+	}
+	// AllocsPerRun makes one warm-up call before the measured ones, so
+	// every value is added exactly once.
+	i := 0
+	if allocs := testing.AllocsPerRun(len(vals)-1, func() {
+		lat.Add(vals[i])
+		i++
+	}); allocs != 0 {
+		t.Fatalf("Add after ResetStats allocated %.1f times per call, want 0", allocs)
+	}
+	if lat.N() != fresh.N() || lat.Min() != fresh.Min() || lat.Max() != fresh.Max() {
+		t.Fatalf("reset digest N/min/max = %d/%v/%v, fresh %d/%v/%v",
+			lat.N(), lat.Min(), lat.Max(), fresh.N(), fresh.Min(), fresh.Max())
+	}
+	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
+		if got, want := lat.Quantile(q), fresh.Quantile(q); got != want {
+			t.Fatalf("q%v: reset digest %v, fresh digest %v", q, got, want)
+		}
 	}
 }
 
