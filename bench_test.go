@@ -378,6 +378,63 @@ func BenchmarkDFQEpisodeTenants1e4(b *testing.B) {
 	b.ReportMetric(float64(dfq.Cycles-cycles)/float64(b.N), "cycles/op")
 }
 
+// BenchmarkMuxReattach prices the neon virtual-context mux's evict and
+// reattach cycle (DESIGN.md §13): 64 logical contexts share a
+// 4-context device, and each op is the next context in rotation
+// acquiring, submitting one request, and releasing — so every op
+// evicts the least-recently-used idle context and reattaches its own,
+// paying two setup syscalls and a context switch in simulated time.
+// The client blocks through Acquire, the thin wrapper over the engine
+// attach machine; what remains per op is the hardware context,
+// channel, and register page the reattach rebuilds.
+func BenchmarkMuxReattach(b *testing.B) {
+	b.ReportAllocs()
+	const contexts, tenants = 4, 64
+	eng := sim.NewEngine()
+	cfg := gpu.DefaultConfig()
+	cfg.MaxContexts = contexts
+	k := neon.NewKernel(gpu.New(eng, cfg), benchNoSched{})
+	vcs := make([]*neon.VContext, tenants)
+	next := 0
+	rotate := func(n int) {
+		eng.Spawn("rotate", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				vc := vcs[next%tenants]
+				next++
+				ch, err := vc.Acquire(p, gpu.Compute)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				r := ch.Stage(time.Microsecond, gpu.Compute)
+				ch.Reg.Store(p, r.Ref)
+				vc.Release()
+				p.Wait(r.DoneGate())
+				r.Release()
+			}
+		})
+		eng.Run()
+	}
+	eng.Spawn("open", func(p *sim.Proc) {
+		for i := range vcs {
+			t := k.NewTask(fmt.Sprintf("vc-%02d", i))
+			var err error
+			if vcs[i], err = k.OpenVirtual(p, t, t.Name, gpu.Compute); err != nil {
+				b.Error(err)
+			}
+		}
+	})
+	eng.Run()
+	rotate(2 * tenants)
+	before := k.MuxStatus().Reattaches
+	b.ResetTimer()
+	rotate(b.N)
+	b.StopTimer()
+	if got := k.MuxStatus().Reattaches - before; got != int64(b.N) {
+		b.Fatalf("%d reattaches in %d ops, want one per op", got, b.N)
+	}
+}
+
 // BenchmarkBoardReconcile measures one fleet reconciliation episode on
 // a board already holding 10^4 registered, fleet-active principals: 64
 // charges plus activity marks folded into the sharded ledger through

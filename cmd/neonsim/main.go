@@ -77,7 +77,8 @@ func parseClasses(s string) ([]string, error) {
 
 // parseWeights turns the -weights flag into the tiers experiment's
 // premium/standard/best-effort contract; the empty string keeps the
-// default ratio sweep. Exactly three positive factors are required.
+// default ratio sweep. Exactly three finite positive factors are
+// required: NaN and ±Inf are refused here rather than reaching a job.
 func parseWeights(s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -85,8 +86,8 @@ func parseWeights(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -weights value %q (want positive factors like 4,1,1)", part)
+		if err != nil || !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("bad -weights value %q (want finite positive factors like 4,1,1)", part)
 		}
 		out = append(out, v)
 	}

@@ -64,3 +64,44 @@ func TestBadLoadExitsPromptly(t *testing.T) {
 		})
 	}
 }
+
+// TestBadWeightsExitsPromptly is the regression test for non-finite
+// -weights factors: NaN and Inf once passed flag parsing and panicked
+// inside a tiers job. Now they are refused with an error naming the
+// flag before any job runs, and a finite contract still runs cleanly.
+func TestBadWeightsExitsPromptly(t *testing.T) {
+	for _, tc := range []struct {
+		weights string
+		wantErr bool
+	}{
+		{"NaN,1,1", true},
+		{"Inf,1,1", true},
+		{"1,-Inf,1", true},
+		{"4,1,1", false},
+	} {
+		t.Run(tc.weights, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, os.Args[0], "-exp", "tiers", "-quick", "-parallel", "1", "-weights", tc.weights)
+			cmd.Env = append(os.Environ(), "NEONSIM_RUN_MAIN=1")
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if ctx.Err() != nil {
+				t.Fatalf("-weights %s still running after 60s", tc.weights)
+			}
+			if strings.Contains(stderr.String(), "panic") {
+				t.Fatalf("-weights %s panicked:\n%s", tc.weights, stderr.String())
+			}
+			var exit *exec.ExitError
+			switch {
+			case tc.wantErr && !errors.As(err, &exit):
+				t.Fatalf("-weights %s exited cleanly (err %v), want an error exit", tc.weights, err)
+			case tc.wantErr && !strings.Contains(stderr.String(), "-weights"):
+				t.Fatalf("-weights %s error does not name the flag:\n%s", tc.weights, stderr.String())
+			case !tc.wantErr && err != nil:
+				t.Fatalf("-weights %s: %v\n%s", tc.weights, err, stderr.String())
+			}
+		})
+	}
+}

@@ -83,7 +83,8 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"BenchmarkDispatcherDrain",
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
 		"BENCH_8.json", "BENCH_9.json", "BENCH_12.json", "BENCH_13.json",
-		"BenchmarkDFQEpisodeTenants1e4", "DESIGN.md §11", "DESIGN.md §12",
+		"BenchmarkDFQEpisodeTenants1e4", "BenchmarkMuxReattach", "BENCH_14.json",
+		"DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
 		if !strings.Contains(doc, want) {
@@ -185,10 +186,10 @@ func TestDesignDocCoversSubmission(t *testing.T) {
 		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
 		"BenchmarkDispatcherDrainBatched",
 		"sim.Gate.Handoff", "sim.Gate.Notify", "inline-handoff rule",
-		"pin-until-delivery rule", "Batch.Ring", "Batch.Close",
+		"pin-until-delivery rule",
 		"sim.Engine.Activations", "TestHandoffRunsProcessInline",
 		"TestHandoffPanicsInProcessContext", "TestNotifyJoinsProcessFIFO",
-		"TestServeRunsOnContinuations",
+		"TestServeRunsOnContinuations", "TestStormRunsOnContinuations",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)
@@ -214,6 +215,9 @@ func TestDesignDocCoversMux(t *testing.T) {
 		"TestMuxHostsStormPastContextCap", "TestMuxKillMidBacklogRecyclesSlot",
 		"TestMuxTightPoolStorm", "TestBoardEagerClampDifferential",
 		"BenchmarkBoardReconcile", "RunScaleFullCell",
+		"VContext.AcquireAsync", "sim.Proc.Park", "sim.Proc.Resume",
+		"inline-resume rule", "TestAttachKilledAtEachStepAsync",
+		"TestAttachKilledAtEachStepBlocking",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

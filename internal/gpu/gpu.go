@@ -445,7 +445,7 @@ func (d *Device) CreateChannel(c *Context, kind Kind) (*Channel, error) {
 	}
 	ch := &Channel{ID: d.nextChID, Ctx: c, Kind: kind}
 	d.nextChID++
-	ch.Reg = mmio.NewPage(fmt.Sprintf("chreg-%d", ch.ID), d.cost, func(value uint64) {
+	ch.Reg = mmio.NewPage(d.cost, func(value uint64) {
 		d.doorbell(ch, value)
 	})
 	c.channels = append(c.channels, ch)

@@ -37,7 +37,6 @@ type Sink func(value uint64)
 
 // Page is one device-register page that can be mapped into a task.
 type Page struct {
-	name    string
 	costs   cost.Model
 	present bool
 	handler FaultHandler
@@ -46,7 +45,11 @@ type Page struct {
 	// Deferred-store state for StoreAsync: values whose DirectWrite
 	// propagation delay has not yet elapsed, delivered FIFO by deliverFn
 	// (bound once at construction so the fast path does not allocate).
+	// pending starts on the inline one-slot pendBuf: a channel rarely
+	// has more than one doorbell in flight, so the first StoreAsync on a
+	// fresh page allocates nothing.
 	pending   []uint64
+	pendBuf   [1]uint64
 	deliverFn func()
 
 	// Counters for tests and experiments.
@@ -55,14 +58,12 @@ type Page struct {
 }
 
 // NewPage returns a page that is initially present (direct access).
-func NewPage(name string, costs cost.Model, sink Sink) *Page {
-	pg := &Page{name: name, costs: costs, present: true, sink: sink}
+func NewPage(costs cost.Model, sink Sink) *Page {
+	pg := &Page{costs: costs, present: true, sink: sink}
+	pg.pending = pg.pendBuf[:0]
 	pg.deliverFn = pg.deliver
 	return pg
 }
-
-// Name returns the page's diagnostic name.
-func (pg *Page) Name() string { return pg.name }
 
 // Present reports whether direct user-space access is currently enabled.
 func (pg *Page) Present() bool { return pg.present }

@@ -10,7 +10,7 @@ import (
 
 func testPage(e *sim.Engine) (*Page, *[]uint64) {
 	var delivered []uint64
-	pg := NewPage("test", cost.Default(), func(v uint64) { delivered = append(delivered, v) })
+	pg := NewPage(cost.Default(), func(v uint64) { delivered = append(delivered, v) })
 	return pg, &delivered
 }
 

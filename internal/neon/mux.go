@@ -19,10 +19,19 @@ import (
 // Attach order under exhaustion is FIFO: a blocked attach enqueues a
 // waiter, and freed slots (request completions that leave a context
 // idle, or task exits) are granted to waiters in arrival order. Waiters
-// block on their task's gate, so the machinery adds no simulation
+// wait on their task's gate, so the machinery adds no simulation
 // events unless it is actually exercised — kernels whose clients all
 // fit in the hardware pool run an event sequence byte-identical to the
 // un-multiplexed stack.
+//
+// The attach itself is an engine-context continuation machine
+// (AcquireAsync): every step a blocking attach would sleep through —
+// the attach-queue wait, the context and channel setup syscalls, the
+// reattach's context switch — is a continuation scheduled at the event
+// position the sleeping process's wakeup would have had. The blocking
+// Acquire is a thin wrapper that parks its process and is resumed
+// inline where the machine finishes, so there is one attach
+// implementation and no goroutine handoff per attach step.
 
 // MuxStats are the kernel's virtual-context multiplexing counters.
 type MuxStats struct {
@@ -47,17 +56,32 @@ type MuxStats struct {
 type muxState struct {
 	vcs      map[*gpu.Context]*VContext // attached, by hardware context
 	attached []*VContext                // attach order (unordered set; LRU is by lastUsed)
-	waiters  []*muxWaiter               // FIFO attach queue
+	waiters  []*VContext                // FIFO attach queue
 	reserved int                        // slots granted to waiters not yet consumed
 	clock    uint64                     // logical LRU clock, bumped per use
 	stats    MuxStats
+
+	// The attach machine's two constant-delay steps: the contexts whose
+	// setup syscall (sysQ) or reattach context switch (switchQ) is in
+	// flight, in issue order. Each step fires a fixed delay after it is
+	// issued, so its events fire in queue order and one callback per
+	// step, bound once (sysFn, switchFn), pops the head — the trick
+	// mmio.Page uses for its deferred stores.
+	sysQ     []*VContext
+	switchQ  []*VContext
+	sysFn    func()
+	switchFn func()
+
+	// syncFree pools the blocking Acquire's per-call records.
+	syncFree []*syncAcquire
 }
 
-// muxWaiter is one queued attach. The waiting process blocks on its
-// task's gate until granted (or the task dies).
+// muxWaiter is a logical context's place in the attach queue. Each
+// VContext embeds its own: a context has at most one attach in flight.
 type muxWaiter struct {
-	vc      *VContext
-	granted bool
+	waiting bool   // queued, or granted a slot not yet consumed
+	granted bool   // a slot is reserved for this context
+	wakeFn  func() // the task-gate continuation, bound on first wait
 }
 
 // VContext is a logical (virtual) GPU context: the handle user-level
@@ -77,10 +101,22 @@ type VContext struct {
 	everAttached bool   // reattaches (everAttached && attach) pay ContextSwitch
 	attaching    bool   // an attach is in flight; concurrent users wait
 	closed       bool   // task exited
-	waiter       *muxWaiter
+	wait         muxWaiter
+
+	// The attach in flight: the hardware context and channels being
+	// built (newChans reuses chans' backing array across attaches), and
+	// the acquirer the machine finishes for.
+	newCtx   *gpu.Context
+	newChans []*ChannelState
+	acqKind  gpu.Kind
+	acqFn    func(*gpu.Channel, error)
 
 	reattaches int64
 }
+
+// anyKind asks the attach machine for the pin alone, with no channel:
+// OpenVirtual's eager attach.
+const anyKind gpu.Kind = -1
 
 // OpenVirtual creates a logical context for the task with one channel
 // per kind. If a hardware slot is free it attaches eagerly — paying
@@ -93,7 +129,10 @@ func (k *Kernel) OpenVirtual(p *sim.Proc, t *Task, label string, kinds ...gpu.Ki
 		return nil, gpu.ErrContextDead
 	}
 	if k.mux == nil {
-		k.mux = &muxState{vcs: make(map[*gpu.Context]*VContext)}
+		m := &muxState{vcs: make(map[*gpu.Context]*VContext)}
+		m.sysFn = k.muxSyscallDone
+		m.switchFn = k.muxSwitchDone
+		k.mux = m
 		prev := k.dev.CompletionObserver
 		k.dev.CompletionObserver = func(r *gpu.Request) {
 			if prev != nil {
@@ -106,7 +145,7 @@ func (k *Kernel) OpenVirtual(p *sim.Proc, t *Task, label string, kinds ...gpu.Ki
 	t.vctxs = append(t.vctxs, vc)
 	k.mux.stats.Opens++
 	if k.muxFree() > 0 {
-		if err := vc.attach(p); err != nil {
+		if _, err := vc.Acquire(p, anyKind); err != nil {
 			return nil, err
 		}
 		vc.unpin()
@@ -155,14 +194,119 @@ func (vc *VContext) ChannelIf(kind gpu.Kind) *gpu.Channel {
 	return nil
 }
 
+// syncAcquire is one blocking acquire in flight: the caller and the
+// machine's result. Records are pooled per kernel with done bound once,
+// so a blocking acquire allocates nothing.
+type syncAcquire struct {
+	p        *sim.Proc
+	ch       *gpu.Channel
+	err      error
+	finished bool
+	parked   bool
+	done     func(*gpu.Channel, error)
+}
+
+// finish is the machine's continuation for a blocking caller: record
+// the result and, if the caller parked, resume it inline. A caller
+// killed while parked is not resumed (Proc.Resume) and its record is
+// simply dropped.
+func (s *syncAcquire) finish(ch *gpu.Channel, err error) {
+	s.ch, s.err, s.finished = ch, err, true
+	if s.parked {
+		s.p.Resume()
+	}
+}
+
 // Acquire returns the hardware channel of the given kind, attaching the
 // logical context first if necessary (which may block p waiting for a
 // slot). The context is pinned — ineligible for eviction — until the
 // matching Release. Returns an error only when the task is dead or a
 // protection policy denies the attach.
+//
+// It is the blocking wrapper of AcquireAsync: p parks while the attach
+// machine runs and is resumed inline (sim.Proc.Resume) in the event
+// where the machine finishes, so it continues at the event position a
+// process sleeping through every attach step would have reached.
 func (vc *VContext) Acquire(p *sim.Proc, kind gpu.Kind) (*gpu.Channel, error) {
-	if err := vc.ensure(p); err != nil {
-		return nil, err
+	m := vc.k.mux
+	var s *syncAcquire
+	if n := len(m.syncFree); n > 0 {
+		s = m.syncFree[n-1]
+		m.syncFree = m.syncFree[:n-1]
+	} else {
+		s = &syncAcquire{}
+		s.done = s.finish
+	}
+	s.p = p
+	vc.AcquireAsync(kind, s.done)
+	if !s.finished {
+		s.parked = true
+		p.Park()
+	}
+	ch, err := s.ch, s.err
+	*s = syncAcquire{done: s.done}
+	m.syncFree = append(m.syncFree, s)
+	return ch, err
+}
+
+// AcquireAsync is the engine-context form of Acquire: it pins the
+// logical context and calls fn with the hardware channel of the given
+// kind, or with the error Acquire would return. An attached context is
+// pinned and fn runs before AcquireAsync returns; otherwise the attach
+// machine runs (or, if another acquirer's attach is in flight, waits on
+// the task gate for it) and fn runs in the event where it finishes.
+// fn is called exactly once.
+//
+// The machine takes the blocking attach's steps at the same event
+// positions: the free-slot check and LRU eviction, the FIFO
+// attach-queue wait (a Gate.Notify continuation on the task gate), the
+// context and channel setup syscalls (bodies run SyscallTrap +
+// SyscallDriverWork after issue), the retry when a raw client took the
+// slot during the context syscall, the rollback of a partial attach,
+// and a reattach's ContextSwitch. Only joining another acquirer's
+// in-flight attach allocates — a continuation per wait — and no stack
+// in this repository does that.
+func (vc *VContext) AcquireAsync(kind gpu.Kind, fn func(*gpu.Channel, error)) {
+	if vc.closed || !vc.task.Alive {
+		fn(nil, gpu.ErrContextDead)
+		return
+	}
+	if vc.hw != nil {
+		vc.use()
+		fn(vc.grab(kind))
+		return
+	}
+	if vc.attaching {
+		var wake func()
+		wake = func() {
+			if vc.attaching && !vc.closed && vc.task.Alive {
+				vc.task.gate.Notify(wake)
+				return
+			}
+			vc.AcquireAsync(kind, fn)
+		}
+		vc.task.gate.Notify(wake)
+		return
+	}
+	vc.attaching = true
+	vc.acqKind, vc.acqFn = kind, fn
+	vc.attachTry()
+}
+
+// use pins the context and stamps it most recently used.
+func (vc *VContext) use() {
+	m := vc.k.mux
+	vc.pins++
+	m.clock++
+	vc.lastUsed = m.clock
+}
+
+// grab returns the pinned context's channel of the given kind. Without
+// one — a context whose task died mid-attach has none — it gives the
+// pin back and reports the context dead.
+func (vc *VContext) grab(kind gpu.Kind) (*gpu.Channel, error) {
+	if kind == anyKind {
+		return nil, nil
 	}
 	for _, cs := range vc.chans {
 		if cs.Ch.Kind == kind {
@@ -173,23 +317,191 @@ func (vc *VContext) Acquire(p *sim.Proc, kind gpu.Kind) (*gpu.Channel, error) {
 	return nil, gpu.ErrContextDead
 }
 
+// attachTry is the top of the attach loop: claim a free slot (evicting
+// the LRU idle context if need be) and issue the context syscall, or
+// queue for a slot.
+func (vc *VContext) attachTry() {
+	k := vc.k
+	m := k.mux
+	if vc.closed || !vc.task.Alive {
+		vc.attachDone(gpu.ErrContextDead)
+		return
+	}
+	if k.muxFree() <= 0 && !k.muxEvictLRU() {
+		vc.wait.waiting = true
+		m.waiters = append(m.waiters, vc)
+		m.stats.AttachWaits++
+		if vc.wait.wakeFn == nil {
+			vc.wait.wakeFn = vc.waitWake
+		}
+		vc.task.gate.Notify(vc.wait.wakeFn)
+		return
+	}
+	vc.syscall()
+}
+
+// waitWake runs when the task gate is broadcast while the context waits
+// for a slot: a grant (or the task's death) ends the wait, anything
+// else waits on.
+func (vc *VContext) waitWake() {
+	k := vc.k
+	if !vc.wait.granted && !vc.closed && vc.task.Alive {
+		vc.task.gate.Notify(vc.wait.wakeFn)
+		return
+	}
+	vc.wait.waiting = false
+	if !vc.wait.granted {
+		k.muxRemoveWaiter(vc)
+		vc.attachDone(gpu.ErrContextDead)
+		return
+	}
+	// A grant outlives its task only as a revoked one (muxTaskExited
+	// takes the slot back), so a granted waiter is alive.
+	vc.wait.granted = false
+	k.mux.reserved--
+	vc.syscall()
+}
+
+// syscall issues the attach's next setup syscall — the context while
+// none is held, then one channel per kind — whose body runs after the
+// syscall's trap and driver work (at once if those cost nothing, as a
+// process's zero sleep returns at once).
+func (vc *VContext) syscall() {
+	k := vc.k
+	if d := k.syscallCost(); d > 0 {
+		k.mux.sysQ = append(k.mux.sysQ, vc)
+		k.eng.After(d, k.mux.sysFn)
+		return
+	}
+	vc.syscallDone()
+}
+
+// muxSyscallDone is the bound setup-syscall step: the oldest syscall in
+// flight has elapsed.
+func (k *Kernel) muxSyscallDone() { popVC(&k.mux.sysQ).syscallDone() }
+
+// muxSwitchDone is the bound context-switch step.
+func (k *Kernel) muxSwitchDone() { popVC(&k.mux.switchQ).attachDone(nil) }
+
+// popVC removes and returns the head of a step queue, keeping its
+// backing array.
+func popVC(q *[]*VContext) *VContext {
+	s := *q
+	vc := s[0]
+	n := copy(s, s[1:])
+	s[n] = nil
+	*q = s[:n]
+	return vc
+}
+
+// syscallDone runs the body of the setup syscall that just elapsed.
+func (vc *VContext) syscallDone() {
+	k := vc.k
+	if vc.newCtx == nil {
+		ctx, err := k.createContext(vc.task, vc.label)
+		if err == gpu.ErrNoContexts {
+			// A non-multiplexed client took the slot during the syscall
+			// sleep; go around again.
+			vc.attachTry()
+			return
+		}
+		if err != nil {
+			k.muxPump()
+			vc.attachDone(err)
+			return
+		}
+		vc.newCtx = ctx
+		vc.newChans = vc.chans[:0]
+	} else {
+		cs, err := k.createChannel(vc.task, vc.newCtx, vc.kinds[len(vc.newChans)])
+		if err != nil {
+			vc.rollback()
+			k.muxPump()
+			vc.attachDone(err)
+			return
+		}
+		vc.newChans = append(vc.newChans, cs)
+	}
+	if len(vc.newChans) < len(vc.kinds) {
+		vc.syscall()
+		return
+	}
+	vc.install()
+}
+
+// rollback undoes a partial attach, releasing its slot.
+func (vc *VContext) rollback() {
+	k := vc.k
+	for i, cs := range vc.newChans {
+		delete(k.byPage, cs.Ch.Reg)
+		vc.task.removeChannel(cs)
+		vc.newChans[i] = nil
+	}
+	ctx := vc.newCtx
+	vc.newCtx, vc.newChans = nil, nil
+	vc.task.removeContext(ctx)
+	if !ctx.Dead() {
+		if err := k.dev.ReleaseContext(ctx); err != nil {
+			panic("neon: mux rollback of busy context: " + err.Error())
+		}
+	}
+}
+
+// install binds the built hardware state to the logical context and
+// pins it; a reattach then pays the paper's ContextSwitch.
+func (vc *VContext) install() {
+	m := vc.k.mux
+	ctx := vc.newCtx
+	vc.hw, vc.chans = ctx, vc.newChans
+	vc.newCtx, vc.newChans = nil, nil
+	m.vcs[ctx] = vc
+	m.attached = append(m.attached, vc)
+	if n := len(m.attached); n > m.stats.MaxAttached {
+		m.stats.MaxAttached = n
+	}
+	m.stats.Attaches++
+	vc.use()
+	if vc.everAttached {
+		vc.reattaches++
+		m.stats.Reattaches++
+		if d := vc.k.costs.ContextSwitch; d > 0 {
+			m.switchQ = append(m.switchQ, vc)
+			vc.k.eng.After(d, m.switchFn)
+			return
+		}
+	}
+	vc.everAttached = true
+	vc.attachDone(nil)
+}
+
+// attachDone ends the attach: concurrent users waiting on the task gate
+// re-check, and the acquirer gets its channel (or the error).
+func (vc *VContext) attachDone(err error) {
+	vc.attaching = false
+	vc.task.gate.Broadcast()
+	fn := vc.acqFn
+	vc.acqFn = nil
+	if err != nil {
+		fn(nil, err)
+		return
+	}
+	fn(vc.grab(vc.acqKind))
+}
+
 // AcquireIf is the non-blocking form of Acquire for the engine-driven
 // submission fast path: if the logical context is currently attached and
 // usable it pins it — bumping the LRU clock exactly as Acquire would —
 // and returns the hardware channel of the given kind. It never attaches,
 // never waits, and consumes no process context; it reports false when
 // the context is detached, mid-attach, or dead, and callers fall back to
-// the blocking Acquire from a real process.
+// AcquireAsync (or the blocking Acquire).
 func (vc *VContext) AcquireIf(kind gpu.Kind) (*gpu.Channel, bool) {
 	if vc.closed || !vc.task.Alive || vc.hw == nil || vc.attaching {
 		return nil, false
 	}
 	for _, cs := range vc.chans {
 		if cs.Ch.Kind == kind {
-			m := vc.k.mux
-			vc.pins++
-			m.clock++
-			vc.lastUsed = m.clock
+			vc.use()
 			return cs.Ch, true
 		}
 	}
@@ -221,122 +533,6 @@ func (vc *VContext) Peek(kind gpu.Kind) (*gpu.Channel, bool) {
 // obtained from Acquire must not be stored across a Release: the next
 // attach may produce fresh ones.
 func (vc *VContext) Release() { vc.unpin() }
-
-// ensure attaches (or joins an in-flight attach) and pins. On success
-// the caller owns one pin.
-func (vc *VContext) ensure(p *sim.Proc) error {
-	for {
-		if vc.closed || !vc.task.Alive {
-			return gpu.ErrContextDead
-		}
-		m := vc.k.mux
-		if vc.hw != nil {
-			vc.pins++
-			m.clock++
-			vc.lastUsed = m.clock
-			return nil
-		}
-		if !vc.attaching {
-			return vc.attach(p)
-		}
-		// Another process of this task is attaching; wait for it.
-		p.WaitFor(vc.task.gate, func() bool {
-			return !vc.attaching || vc.closed || !vc.task.Alive
-		})
-	}
-}
-
-// attach binds the logical context to a hardware context, creating the
-// context and its channels through the normal setup syscalls. It blocks
-// p while the pool is exhausted and nothing is evictable. On success
-// the context is pinned once and, if this is a reattach, the paper's
-// ContextSwitch cost has been charged.
-func (vc *VContext) attach(p *sim.Proc) error {
-	k := vc.k
-	m := k.mux
-	vc.attaching = true
-	defer func() {
-		vc.attaching = false
-		vc.task.gate.Broadcast()
-	}()
-	for {
-		if vc.closed || !vc.task.Alive {
-			return gpu.ErrContextDead
-		}
-		if k.muxFree() <= 0 && !k.muxEvictLRU() {
-			w := &muxWaiter{vc: vc}
-			vc.waiter = w
-			m.waiters = append(m.waiters, w)
-			m.stats.AttachWaits++
-			p.WaitFor(vc.task.gate, func() bool {
-				return w.granted || vc.closed || !vc.task.Alive
-			})
-			vc.waiter = nil
-			if !w.granted {
-				k.muxRemoveWaiter(w)
-				return gpu.ErrContextDead
-			}
-			m.reserved--
-			if vc.closed || !vc.task.Alive {
-				k.muxPump() // hand the slot on
-				return gpu.ErrContextDead
-			}
-		}
-		ctx, err := k.CreateContext(p, vc.task, vc.label)
-		if err == gpu.ErrNoContexts {
-			// A non-multiplexed client took the slot during the syscall
-			// sleep; go around again.
-			continue
-		}
-		if err != nil {
-			k.muxPump()
-			return err
-		}
-		chans := make([]*ChannelState, 0, len(vc.kinds))
-		var cherr error
-		for _, kind := range vc.kinds {
-			cs, err := k.CreateChannel(p, vc.task, ctx, kind)
-			if err != nil {
-				cherr = err
-				break
-			}
-			chans = append(chans, cs)
-		}
-		if cherr != nil {
-			// Roll the partial attach back and release the slot.
-			for _, cs := range chans {
-				delete(k.byPage, cs.Ch.Reg)
-				vc.task.removeChannel(cs)
-			}
-			vc.task.removeContext(ctx)
-			if !ctx.Dead() {
-				if err := k.dev.ReleaseContext(ctx); err != nil {
-					panic("neon: mux rollback of busy context: " + err.Error())
-				}
-			}
-			k.muxPump()
-			return cherr
-		}
-		vc.hw = ctx
-		vc.chans = chans
-		m.vcs[ctx] = vc
-		m.attached = append(m.attached, vc)
-		if n := len(m.attached); n > m.stats.MaxAttached {
-			m.stats.MaxAttached = n
-		}
-		m.stats.Attaches++
-		vc.pins++
-		m.clock++
-		vc.lastUsed = m.clock
-		if vc.everAttached {
-			vc.reattaches++
-			m.stats.Reattaches++
-			p.Sleep(k.costs.ContextSwitch)
-		}
-		vc.everAttached = true
-		return nil
-	}
-}
 
 func (vc *VContext) unpin() {
 	if vc.pins > 0 {
@@ -404,7 +600,10 @@ func (k *Kernel) muxDetach(vc *VContext) {
 		}
 	}
 	vc.hw = nil
-	vc.chans = nil
+	for i := range vc.chans {
+		vc.chans[i] = nil
+	}
+	vc.chans = vc.chans[:0] // the next attach rebuilds into the same array
 	m.stats.Evictions++
 }
 
@@ -415,8 +614,8 @@ func (k *Kernel) muxDetach(vc *VContext) {
 func (k *Kernel) muxPump() {
 	m := k.mux
 	for len(m.waiters) > 0 {
-		w := m.waiters[0]
-		if w.vc.closed || !w.vc.task.Alive {
+		vc := m.waiters[0]
+		if vc.closed || !vc.task.Alive {
 			m.waiters = m.waiters[1:]
 			continue
 		}
@@ -425,16 +624,16 @@ func (k *Kernel) muxPump() {
 		}
 		m.waiters = m.waiters[1:]
 		m.reserved++
-		w.granted = true
-		w.vc.task.gate.Broadcast()
+		vc.wait.granted = true
+		vc.task.gate.Broadcast()
 	}
 }
 
 // muxRemoveWaiter drops a cancelled waiter from the queue, if present.
-func (k *Kernel) muxRemoveWaiter(w *muxWaiter) {
+func (k *Kernel) muxRemoveWaiter(vc *VContext) {
 	m := k.mux
 	for i, x := range m.waiters {
-		if x == w {
+		if x == vc {
 			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
 			return
 		}
@@ -451,15 +650,15 @@ func (k *Kernel) muxTaskExited(t *Task) {
 	}
 	for _, vc := range t.vctxs {
 		vc.closed = true
-		if w := vc.waiter; w != nil {
-			if w.granted {
+		if vc.wait.waiting {
+			if vc.wait.granted {
 				// Granted but never consumed; the slot goes back.
 				m.reserved--
-				w.granted = false
+				vc.wait.granted = false
 			} else {
-				k.muxRemoveWaiter(w)
+				k.muxRemoveWaiter(vc)
 			}
-			vc.waiter = nil
+			vc.wait.waiting = false
 		}
 		if vc.hw != nil {
 			delete(m.vcs, vc.hw)

@@ -128,6 +128,10 @@ type Kernel struct {
 	drainEpoch uint64
 	draining   bool
 	drainBuf   []*Task
+
+	// onFaultFn is onFault bound once, installed on every channel page
+	// the kernel creates.
+	onFaultFn mmio.FaultHandler
 }
 
 // NewKernel attaches a kernel to the device and starts the scheduler.
@@ -141,6 +145,7 @@ func NewKernel(dev *gpu.Device, sched Scheduler) *Kernel {
 		byPage: make(map[*mmio.Page]*ChannelState),
 		Label:  dev.Name(),
 	}
+	k.onFaultFn = k.onFault
 	sched.Start(k)
 	return k
 }
@@ -194,7 +199,18 @@ func (k *Kernel) NewTask(name string) *Task {
 // CreateContext is the context-setup syscall. It pays the trap plus
 // driver-work cost and applies the protection policy.
 func (k *Kernel) CreateContext(p *sim.Proc, t *Task, label string) (*gpu.Context, error) {
-	p.Sleep(k.costs.SyscallTrap + k.costs.SyscallDriverWork)
+	p.Sleep(k.syscallCost())
+	return k.createContext(t, label)
+}
+
+// syscallCost is what every setup syscall charges before its body runs.
+func (k *Kernel) syscallCost() sim.Duration {
+	return k.costs.SyscallTrap + k.costs.SyscallDriverWork
+}
+
+// createContext is CreateContext's body, run once the syscall's trap
+// and driver work have elapsed.
+func (k *Kernel) createContext(t *Task, label string) (*gpu.Context, error) {
 	if !t.Alive {
 		return nil, gpu.ErrContextDead
 	}
@@ -214,7 +230,13 @@ func (k *Kernel) CreateContext(p *sim.Proc, t *Task, label string) (*gpu.Context
 // handler, marks the channel active, and lets the scheduler choose its
 // initial protection.
 func (k *Kernel) CreateChannel(p *sim.Proc, t *Task, ctx *gpu.Context, kind gpu.Kind) (*ChannelState, error) {
-	p.Sleep(k.costs.SyscallTrap + k.costs.SyscallDriverWork)
+	p.Sleep(k.syscallCost())
+	return k.createChannel(t, ctx, kind)
+}
+
+// createChannel is CreateChannel's body, run once the syscall's trap
+// and driver work have elapsed.
+func (k *Kernel) createChannel(t *Task, ctx *gpu.Context, kind gpu.Kind) (*ChannelState, error) {
 	if !t.Alive {
 		return nil, gpu.ErrContextDead
 	}
@@ -228,7 +250,7 @@ func (k *Kernel) CreateChannel(p *sim.Proc, t *Task, ctx *gpu.Context, kind gpu.
 	cs := &ChannelState{Ch: ch, Task: t, Active: true}
 	t.channels = append(t.channels, cs)
 	k.byPage[ch.Reg] = cs
-	ch.Reg.SetHandler(k.onFault)
+	ch.Reg.SetHandler(k.onFaultFn)
 	k.sched.ChannelActivated(cs)
 	return cs, nil
 }

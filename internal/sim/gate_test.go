@@ -170,3 +170,75 @@ func TestActivationsCountsHandoffs(t *testing.T) {
 		t.Fatalf("Activations = %d after Reset, want 0", e.Activations())
 	}
 }
+
+// TestResumeRunsParkedProcessInline: Resume runs a process parked in
+// Park inside the caller's event, before the caller's next statement,
+// with one activation and no event of its own.
+func TestResumeRunsParkedProcessInline(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	p := e.Spawn("parker", func(p *Proc) {
+		p.Park()
+		order = append(order, "parker@"+p.Now().String())
+	})
+	e.RunFor(1)
+	before := e.Activations()
+	e.After(1, func() {
+		e.After(0, func() { order = append(order, "queued") })
+		order = append(order, "caller")
+		p.Resume()
+		order = append(order, "caller-after")
+	})
+	e.Run()
+	want := []string{"caller", "parker@2ns", "caller-after", "queued"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	if got := e.Activations() - before; got != 1 {
+		t.Fatalf("%d activations for one resume, want 1", got)
+	}
+}
+
+// TestResumeSkipsKilledProcess: a parked process killed before its
+// resume unwinds through the kill's own activation; a later Resume is
+// a no-op rather than a panic or a second run.
+func TestResumeSkipsKilledProcess(t *testing.T) {
+	e := NewEngine()
+	returned := false
+	p := e.Spawn("parker", func(p *Proc) {
+		p.Park()
+		returned = true
+	})
+	e.RunFor(1)
+	e.After(0, func() {
+		p.Kill()
+		p.Resume()
+	})
+	e.Run()
+	p.Resume()
+	if returned || !p.Finished() || e.LiveProcs() != 0 {
+		t.Fatalf("returned=%v finished=%v live=%d, want an unwound process", returned, p.Finished(), e.LiveProcs())
+	}
+}
+
+// TestResumePanicsOffPark: Resume refuses process context and a process
+// that is not parked (here: sleeping).
+func TestResumePanicsOffPark(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	parked := e.Spawn("parked", func(p *Proc) { p.Park() })
+	sleeper := e.Spawn("sleeper", func(p *Proc) { p.Sleep(10) })
+	e.Spawn("caller", func(p *Proc) {
+		mustPanic("Resume from process context", parked.Resume)
+	})
+	e.RunFor(1)
+	mustPanic("Resume of a sleeping process", sleeper.Resume)
+}

@@ -26,6 +26,7 @@ type Proc struct {
 	name   string
 	state  procState
 	killed bool
+	parked bool // blocked in Park, awaiting Resume
 
 	resume chan bool // engine -> proc; value true means "you were killed"
 	yield  chan struct{}
@@ -180,6 +181,37 @@ func (p *Proc) WaitTimeout(g *Gate, d Duration) (timedOut bool) {
 	g.wait(p)
 	t.Stop()
 	return fired
+}
+
+// Park blocks the process until engine code calls Resume (or the
+// process is killed). It is the gate-free wait of a process that hands
+// its work to a continuation machine and must be resumed at the exact
+// event where that machine finishes: the machine holds the *Proc and
+// calls Resume, so no gate or wake closure is built per wait.
+func (p *Proc) Park() {
+	p.parked = true
+	p.block()
+}
+
+// Resume runs a process parked in Park inline, inside the current
+// event, and returns when it blocks again (or finishes) — the targeted
+// form of Gate.Handoff. A killed process is left to the activation Kill
+// scheduled, so a machine finishing after its caller died resumes
+// nothing. Resume must be called from engine context and panics if the
+// process is live but not parked.
+func (p *Proc) Resume() {
+	if p.engine.inProc > 0 {
+		panic("sim: Proc.Resume from process context")
+	}
+	if p.killed || p.state == procFinished {
+		return
+	}
+	if !p.parked {
+		panic("sim: Proc.Resume on " + p.name + ", which is not parked")
+	}
+	p.parked = false
+	p.activate()
+	p.engine.rethrow()
 }
 
 // Kill marks the process as killed and unwinds it. If the process is

@@ -1,10 +1,14 @@
 package traffic
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/gpu"
+	"repro/internal/neon"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -69,6 +73,78 @@ func TestServeRunsOnContinuations(t *testing.T) {
 	per := float64(eng.Activations()-act0) / float64(completed)
 	t.Logf("%d completions, %d activations (%.3f per request), %d live processes",
 		completed, eng.Activations()-act0, per, eng.LiveProcs())
+	if per >= 1 {
+		t.Errorf("%.3f process activations per completed request, want < 1", per)
+	}
+}
+
+// TestStormRunsOnContinuations pins the mux path's process cost on a
+// storm-shaped population: 200 open-loop tenants, each on its own
+// virtual context, share a 4-context device under DFQ, each firing once
+// per 20 ms at a seeded stagger, so nearly every request evicts an
+// idle context and reattaches its own. With the attach running as an
+// engine machine:
+//
+//   - the mux decisions are exactly the blocking attach's (the
+//     MuxStats below are the values the process-driven attach produced
+//     at seed 1);
+//   - the live processes are still one slow lane per dispatcher plus
+//     the scheduler loop;
+//   - under one process activation per completed request is left
+//     (0.55 here: the DFQ loop and engaged-register faults), where
+//     sleeping a process through each attach step cost 5.76.
+func TestStormRunsOnContinuations(t *testing.T) {
+	const tenants, gap = 200, 20 * time.Millisecond
+	eng := sim.NewEngine()
+	rng := sim.NewRNG(1)
+	streams := make([]Stream, tenants)
+	for i := range streams {
+		phase := 1 + sim.Duration(rng.Float64()*float64(gap-1))
+		streams[i] = Stream{
+			Tenant:  workload.OpenLoopTenant(fmt.Sprintf("t%03d", i), 5*us, 0),
+			Arrival: &Staggered{Phase: phase, Gap: gap},
+		}
+	}
+	srv, err := New(eng, Config{
+		Fleet: fleet.Config{
+			Devices: 1,
+			GPU:     gpu.Config{MaxContexts: 4},
+			Sched:   "dfq",
+			DFQ:     core.DFQConfig{SamplePeriod: 500 * us, SampleRequests: 4},
+			Seed:    1,
+		},
+		Streams: streams,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(gap + 2*time.Millisecond)
+	if err := srv.SetupError(); err != nil {
+		t.Fatal(err)
+	}
+	srv.ResetStats()
+	act0 := eng.Activations()
+	eng.RunFor(200 * time.Millisecond)
+
+	var completed int64
+	for i := range streams {
+		completed += srv.Stats(i).Completed
+	}
+	k := srv.Fleet().Nodes()[0].Kernel
+	mux := k.MuxStatus()
+	per := float64(eng.Activations()-act0) / float64(completed)
+	t.Logf("%d completions, %d activations (%.3f per request), %d live processes, mux %+v",
+		completed, eng.Activations()-act0, per, eng.LiveProcs(), mux)
+	if got, want := eng.LiveProcs(), tenants+1; got != want {
+		t.Errorf("%d live processes, want exactly %d dispatcher slow lanes + 1 scheduler loop", got, tenants)
+	}
+	if completed != 2000 {
+		t.Errorf("%d completions, want 2000: every tenant served every 20 ms", completed)
+	}
+	want := neon.MuxStats{Opens: 200, Attaches: 2222, Reattaches: 2022, Evictions: 2219, AttachWaits: 223, MaxAttached: 4}
+	if mux != want {
+		t.Errorf("mux stats %+v, want %+v", mux, want)
+	}
 	if per >= 1 {
 		t.Errorf("%.3f process activations per completed request, want < 1", per)
 	}

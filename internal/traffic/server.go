@@ -304,22 +304,24 @@ type item struct {
 // channel FIFO and the completion hook carry the rest.
 //
 // The drain is an engine-context continuation machine (DESIGN.md §14)
-// with a process kept only as its slow lane. While the client's
-// virtual context is attached and the register page is present, the
-// machine stages the request, rings the async doorbell, and continues
-// DirectWrite later — holding the context's pin until that
-// continuation, exactly as a blocking store holds its Acquire across
-// the write (pin-until-delivery), so the mux sees the same evictable
-// set at every instant. Any refusal (detached or attaching context,
-// engaged register, trap-per-request client) hands the drain to the
-// slow-lane process with Gate.Handoff, which runs it inline in the
-// same event: the blocking Acquire, attach, or faulting store then
-// happens at the event position a blocking drain would reach, so the
-// mux LRU clock and attach queue order are the blocking timeline's by
-// construction (inline handoff). The wake is edge-triggered (only the
-// idle-to-backlogged transition schedules the drain), and
-// Config.BatchDrain turns a drained backlog into one staged batch with
-// a single doorbell.
+// with a process kept only as its slow lane. Each submission acquires
+// the client's virtual context through the mux's attach machine
+// (neon.VContext.AcquireAsync): at once when the context is attached,
+// otherwise after the attach, and either way at the event position a
+// blocking Acquire would have had. The drain then stages the request
+// on the channel. A present register takes the async doorbell, and the
+// drain continues DirectWrite later, holding the context's pin until
+// that continuation, exactly as a blocking store holds its Acquire
+// across the write (pin-until-delivery), so the mux sees the same
+// evictable set at every instant. An engaged register hands the
+// staged, pinned request to the slow-lane process for the committed
+// faulting store. The slow lane runs inline in the same event
+// (Gate.Handoff), as does a trap-per-request or raw client's blocking
+// submission, so the mux LRU clock, attach queue order, and fault
+// observation are the blocking timeline's by construction (inline
+// handoff). The wake is edge-triggered (only the idle-to-backlogged
+// transition schedules the drain), and Config.BatchDrain turns a
+// drained backlog into one staged batch with a single doorbell.
 type dispatcher struct {
 	srv    *Server
 	st     *stream
@@ -332,22 +334,39 @@ type dispatcher struct {
 	gate   *sim.Gate
 
 	// The request in flight: cur is the item being submitted, step what
-	// the drain owes it next, and held the one-request batch whose
-	// doorbell is on its way (pinning the context until it lands).
-	cur  item
-	step drainStep
-	held userlib.Batch
-	r    *gpu.Request
-	dw   sim.Duration
+	// the drain owes it next, and r its staged request, whose acquire
+	// pins the context until its doorbell lands. faulting marks r as
+	// handed to the slow lane for a faulting store; acq and acqCh carry
+	// an AcquireAsync call's state and channel.
+	cur      item
+	step     drainStep
+	faulting bool
+	r        *gpu.Request
+	dw       sim.Duration
+	acq      acqState
+	acqCh    *gpu.Channel
 
 	// The callbacks, bound once so the hot path allocates nothing:
 	// doneFn is the completion hook every request of this (stream,
 	// node) pair shares; wakeFn restarts an idle drain; landedFn is the
-	// continuation after a fast-path doorbell's DirectWrite.
-	doneFn   func(*gpu.Request)
-	wakeFn   func()
-	landedFn func()
+	// continuation after a doorbell's DirectWrite; acquireFn receives
+	// the attach machine's channel.
+	doneFn    func(*gpu.Request)
+	wakeFn    func()
+	landedFn  func()
+	acquireFn func(*gpu.Channel, error)
 }
+
+// acqState tracks a drain's AcquireAsync call, whose continuation may
+// run before the call returns (context attached, or task dead) or in a
+// later event (attach in flight).
+type acqState uint8
+
+const (
+	acqIdle    acqState = iota
+	acqCalling          // inside AcquireAsync
+	acqInline           // the channel arrived before AcquireAsync returned
+)
 
 // drainStep is what the drain owes its current item next.
 type drainStep uint8
@@ -365,6 +384,7 @@ func newDispatcher(s *Server, st *stream, n *fleet.Node) *dispatcher {
 	d.doneFn = d.onDone
 	d.wakeFn = func() { d.drain(nil) }
 	d.landedFn = d.landed
+	d.acquireFn = d.onAcquired
 	return d
 }
 
@@ -380,7 +400,9 @@ func (d *dispatcher) wake() {
 
 // run is the slow-lane process: it opens the tenant's client on the
 // node (anything queued during setup is drained right after), then
-// parks until the machine hands it a submission that must block.
+// parks until the machine hands it a submission that must block — a
+// staged request whose store must fault, or a trap-per-request or raw
+// client's blocking submission — and drains on from there.
 func (d *dispatcher) run(p *sim.Proc) {
 	client, err := d.st.ft.Client(p, d.node)
 	if err != nil {
@@ -393,6 +415,9 @@ func (d *dispatcher) run(p *sim.Proc) {
 	for {
 		d.drain(p)
 		p.Wait(d.gate)
+		if d.faulting {
+			d.fault(p)
+		}
 	}
 }
 
@@ -428,17 +453,22 @@ func (d *dispatcher) drain(p *sim.Proc) {
 				d.step = stepCold
 			}
 		}
-		size := d.st.size
-		if d.step == stepCold {
-			size = d.st.spec.Tenant.WorkingSet
+		size := d.size()
+		if vc := d.client.VC; vc != nil && !d.client.TrapPerRequest {
+			d.acq = acqCalling
+			vc.AcquireAsync(d.st.kind, d.acquireFn)
+			inline := d.acq == acqInline
+			d.acq = acqIdle
+			if !inline {
+				return // attaching: onAcquired drains on
+			}
+			if !d.submitOn(p, size) {
+				return
+			}
+			continue
 		}
-		if b, ok := d.client.BeginBatch(d.st.kind); ok {
-			d.r = b.Stage(size, d.st.kind, nil)
-			b.Ring(d.srv.eng)
-			d.held = b
-			d.srv.eng.After(d.dw, d.landedFn)
-			return
-		}
+		// A raw or trap-per-request client's submission blocks: it runs
+		// whole on the slow lane.
 		if p == nil {
 			d.gate.Handoff()
 			return
@@ -447,11 +477,71 @@ func (d *dispatcher) drain(p *sim.Proc) {
 	}
 }
 
-// landed is the fast path's continuation, DirectWrite after the
-// doorbell (right behind its delivery): unpin the context, account the
+// onAcquired is the attach machine's continuation: the channel the
+// current item goes to, pinned, or nil when the task died first.
+func (d *dispatcher) onAcquired(ch *gpu.Channel, _ error) {
+	d.acqCh = ch
+	if d.acq == acqCalling {
+		d.acq = acqInline // the drain loop submits
+		return
+	}
+	if d.submitOn(nil, d.size()) {
+		d.drain(nil)
+	}
+}
+
+// size is the device time of what the current step submits: the
+// working-set rebuild, or the request itself.
+func (d *dispatcher) size() sim.Duration {
+	if d.step == stepCold {
+		return d.st.spec.Tenant.WorkingSet
+	}
+	return d.st.size
+}
+
+// submitOn submits the current item on the acquired channel, on the
+// lane p (nil: engine context), and reports whether the drain may go
+// on at once. A present register takes the async doorbell, the pin
+// held until it lands (pin-until-delivery); an engaged one commits the
+// staged request to the faulting store on the slow lane.
+func (d *dispatcher) submitOn(p *sim.Proc, size sim.Duration) bool {
+	ch := d.acqCh
+	d.acqCh = nil
+	if ch == nil {
+		d.submitted(nil)
+		return true
+	}
+	d.r = ch.Stage(size, d.st.kind)
+	if ch.Reg.StoreAsync(d.srv.eng, d.r.Ref) {
+		d.srv.eng.After(d.dw, d.landedFn)
+		return false
+	}
+	d.faulting = true
+	if p == nil {
+		d.gate.Handoff()
+		return false
+	}
+	d.fault(p)
+	return true
+}
+
+// fault is the slow lane's committed faulting store of the staged
+// request: trap, kernel handler (which may hold p arbitrarily), then
+// the single-stepped doorbell; the pin is released after it.
+func (d *dispatcher) fault(p *sim.Proc) {
+	d.faulting = false
+	r := d.r
+	d.r = nil
+	r.Channel().Reg.StoreFaulting(p, r.Ref)
+	d.client.VC.Release()
+	d.submitted(r)
+}
+
+// landed is the doorbell's continuation, DirectWrite after the store
+// (right behind its delivery): unpin the context, account the
 // submission, and drain on.
 func (d *dispatcher) landed() {
-	d.held.Close()
+	d.client.VC.Release()
 	r := d.r
 	d.r = nil
 	d.submitted(r)
@@ -490,8 +580,8 @@ func (d *dispatcher) submitted(r *gpu.Request) {
 // device kick — and the process one wake — for k requests, and the
 // batch reaches the device in one event at now+DirectWrite. Returns
 // false, staging nothing, when the batch fast path is unavailable
-// (engaged register, detached context); the per-request blocking path
-// then takes over for this drain, preserving the fault/trap sequence
+// (engaged register, detached context); the per-request path then
+// takes over for this drain, preserving the fault/trap sequence
 // engaged schedulers depend on.
 func (d *dispatcher) batchDrain() bool {
 	b, ok := d.client.BeginBatch(d.st.kind)

@@ -330,10 +330,9 @@ func (c *Client) Outstanding() int { return len(c.outstanding) }
 // doorbell), so the whole batch reaches the device in one event at
 // now+DirectWrite — same-instant delivery for all members.
 //
-// A batch must begin, stage, and ring within a single engine instant
+// A batch must begin, stage, and flush within a single engine instant
 // (no process yields in between): Begin checks the fast path once, and
-// the page cannot change state under an atomic instant. Only the unpin
-// (Close) may come later.
+// the page cannot change state under an atomic instant.
 type Batch struct {
 	c    *Client
 	ch   *gpu.Channel
@@ -342,7 +341,7 @@ type Batch struct {
 }
 
 // BeginBatch opens a batch on the kind's channel, pinning a virtual
-// client's context until Flush (or Close). Like SubmitAsync it refuses
+// client's context until Flush. Like SubmitAsync it refuses
 // — staging nothing — when the fast path is unavailable
 // (trap-per-request mode, engaged register, or detached virtual
 // context); callers fall back to per-request blocking submission,
@@ -385,29 +384,15 @@ func (b *Batch) Stage(size sim.Duration, kind gpu.Kind, onDone func(*gpu.Request
 func (b *Batch) Len() int { return b.n }
 
 // Flush rings one doorbell for the whole batch (a no-op for an empty
-// one) and unpins a virtual client's context: Ring then Close. The
-// batch is dead after Flush.
+// one) and unpins a virtual client's context, which pumps the mux
+// attach queue if the context goes idle. The batch is dead after
+// Flush.
 func (b *Batch) Flush(e *sim.Engine) {
-	b.Ring(e)
-	b.Close()
-}
-
-// Ring rings one doorbell for everything staged so far (a no-op for an
-// empty batch) but keeps a virtual client's context pinned. A caller
-// that must hold the pin until the store lands — exactly as a blocking
-// store holds its Acquire across the DirectWrite — rings, continues
-// DirectWrite later, and only then calls Close.
-func (b *Batch) Ring(e *sim.Engine) {
 	if b.n > 0 {
 		if !b.ch.Reg.StoreAsync(e, b.last) {
 			panic("userlib: batch doorbell refused on a present page")
 		}
 	}
-}
-
-// Close unpins a virtual client's context (which pumps the mux attach
-// queue if the context goes idle). The batch is dead after Close.
-func (b *Batch) Close() {
 	if b.c.VC != nil {
 		b.c.VC.Release()
 	}
