@@ -218,6 +218,7 @@ func TestDesignDocCoversMux(t *testing.T) {
 		"VContext.AcquireAsync", "sim.Proc.Park", "sim.Proc.Resume",
 		"inline-resume rule", "TestAttachKilledAtEachStepAsync",
 		"TestAttachKilledAtEachStepBlocking",
+		"TestBlockingReattachAllocatesOnlyTheRebuild",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

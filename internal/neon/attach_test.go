@@ -81,7 +81,7 @@ func newAttachKillRig(t *testing.T, step attachStep) *attachKillRig {
 
 // queueB queues B's acquire behind A's: B reports success through bGot.
 func (r *attachKillRig) queueB(t *testing.T) {
-	r.bvc.AcquireAsync(gpu.Compute, func(ch *gpu.Channel, err error) {
+	_, now, _ := r.bvc.AcquireAsync(gpu.Compute, func(ch *gpu.Channel, err error) {
 		if err != nil || ch == nil {
 			t.Errorf("bystander acquire: %v", err)
 			return
@@ -89,6 +89,9 @@ func (r *attachKillRig) queueB(t *testing.T) {
 		r.bGot = true
 		r.bvc.Release()
 	})
+	if now {
+		t.Fatal("bystander acquire finished at once; it must queue behind A")
+	}
 }
 
 // driveToStep advances the rig, with A's acquire started and B queued,
@@ -160,13 +163,16 @@ func TestAttachKilledAtEachStepAsync(t *testing.T) {
 			r := newAttachKillRig(t, step)
 			calls := 0
 			var got error
-			r.avc.AcquireAsync(gpu.Compute, func(ch *gpu.Channel, err error) {
+			_, now, _ := r.avc.AcquireAsync(gpu.Compute, func(ch *gpu.Channel, err error) {
 				calls++
 				got = err
 				if ch != nil {
 					t.Error("dead acquire returned a channel")
 				}
 			})
+			if now {
+				t.Fatal("acquire of a detached context on a full pool finished at once")
+			}
 			r.driveToStep(t, step)
 			r.checkClean(t)
 			if calls != 1 || got != gpu.ErrContextDead {
@@ -282,8 +288,11 @@ func TestAcquireAsyncJoinsInflightAttach(t *testing.T) {
 		}
 		chs = append(chs, ch)
 	}
-	vc.AcquireAsync(gpu.Compute, done)
-	vc.AcquireAsync(gpu.Compute, done)
+	for i := 0; i < 2; i++ {
+		if _, now, _ := vc.AcquireAsync(gpu.Compute, done); now {
+			t.Fatalf("acquire %d finished at once; it must wait for the reattach", i)
+		}
+	}
 	e.Run()
 	if len(chs) != 2 || chs[0] == nil || chs[0] != chs[1] {
 		t.Fatalf("acquirers got %v, want the same channel twice", chs)
@@ -329,6 +338,42 @@ func TestAcquireReattachChargesSetupAndSwitch(t *testing.T) {
 	}
 }
 
+// TestAcquireAsyncFinishesInlineWhenStepsAreFree: on a platform whose
+// setup syscalls and context switch cost nothing, a reattach finishes
+// before AcquireAsync returns — the acquirer gets its pinned channel
+// back at once and fn is never called, as a process's zero sleeps
+// would not yield.
+func TestAcquireAsyncFinishesInlineWhenStepsAreFree(t *testing.T) {
+	e := sim.NewEngine()
+	cfg := gpu.DefaultConfig()
+	cfg.MaxContexts = 1
+	cfg.Costs.SyscallTrap, cfg.Costs.SyscallDriverWork, cfg.Costs.ContextSwitch = 0, 0, 0
+	k := NewKernel(gpu.New(e, cfg), &recordingSched{})
+	task := k.NewTask("t")
+	var vc *VContext
+	e.Spawn("open", func(p *sim.Proc) {
+		var err error
+		if vc, err = k.OpenVirtual(p, task, "v", gpu.Compute, gpu.DMA); err != nil {
+			t.Error(err)
+		}
+	})
+	e.Run()
+	k.muxDetach(vc)
+	ch, now, err := vc.AcquireAsync(gpu.DMA, func(*gpu.Channel, error) {
+		t.Error("fn called for an acquire that finished inline")
+	})
+	e.Run()
+	if !now || err != nil || ch == nil || ch.Kind != gpu.DMA {
+		t.Fatalf("inline reattach returned ch=%v now=%v err=%v, want the DMA channel at once", ch, now, err)
+	}
+	if vc.attaching || vc.acqFn != nil || vc.pins != 1 {
+		t.Fatalf("attaching=%v acqFn set=%v pins=%d after an inline reattach", vc.attaching, vc.acqFn != nil, vc.pins)
+	}
+	if st := k.MuxStatus(); st.Reattaches != 1 {
+		t.Fatalf("reattaches = %d, want 1", st.Reattaches)
+	}
+}
+
 // TestBlockingAcquireAllocatesNothing: once the kernel's pooled records
 // exist, a blocking acquire of an attached context allocates nothing.
 func TestBlockingAcquireAllocatesNothing(t *testing.T) {
@@ -351,5 +396,52 @@ func TestBlockingAcquireAllocatesNothing(t *testing.T) {
 	e.RunFor(time.Second)
 	if allocs != 0 {
 		t.Fatalf("blocking acquire allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestBlockingReattachAllocatesOnlyTheRebuild: a blocking acquire that
+// parks through a whole reattach (two setup syscalls and the context
+// switch, then the inline resume) allocates exactly what the same
+// reattach driven by AcquireAsync from engine context does — the new
+// hardware context, channel and page. The park/resume wrapper adds
+// nothing.
+func TestBlockingReattachAllocatesOnlyTheRebuild(t *testing.T) {
+	e, _, k := muxKernel(t, 4)
+	task := k.NewTask("t")
+	var vc *VContext
+	var blocking float64
+	e.Spawn("client", func(p *sim.Proc) {
+		var err error
+		if vc, err = k.OpenVirtual(p, task, "v", gpu.Compute); err != nil {
+			t.Error(err)
+			return
+		}
+		blocking = testing.AllocsPerRun(100, func() {
+			k.muxDetach(vc)
+			if _, err := vc.Acquire(p, gpu.Compute); err != nil {
+				t.Error(err)
+			}
+			vc.Release()
+		})
+	})
+	e.Run()
+	done := func(_ *gpu.Channel, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		vc.Release()
+	}
+	async := testing.AllocsPerRun(100, func() {
+		k.muxDetach(vc)
+		if _, now, _ := vc.AcquireAsync(gpu.Compute, done); now {
+			t.Fatal("reattach finished at once")
+		}
+		e.Run()
+	})
+	if st := k.MuxStatus(); st.Reattaches != 202 {
+		t.Fatalf("reattaches = %d, want 202 (101 per loop, warm-up included)", st.Reattaches)
+	}
+	if async == 0 || blocking != async {
+		t.Fatalf("a blocking reattach allocates %.1f times, the machine alone %.1f; want equal and nonzero", blocking, async)
 	}
 }

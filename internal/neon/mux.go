@@ -105,11 +105,14 @@ type VContext struct {
 
 	// The attach in flight: the hardware context and channels being
 	// built (newChans reuses chans' backing array across attaches), and
-	// the acquirer the machine finishes for.
+	// the acquirer the machine finishes for — acqFn, or, while acqFn is
+	// nil, the AcquireAsync call still on the stack, which takes the
+	// error of an attach that finished inline from acqErr.
 	newCtx   *gpu.Context
 	newChans []*ChannelState
 	acqKind  gpu.Kind
 	acqFn    func(*gpu.Channel, error)
+	acqErr   error
 
 	reattaches int64
 }
@@ -194,27 +197,23 @@ func (vc *VContext) ChannelIf(kind gpu.Kind) *gpu.Channel {
 	return nil
 }
 
-// syncAcquire is one blocking acquire in flight: the caller and the
-// machine's result. Records are pooled per kernel with done bound once,
-// so a blocking acquire allocates nothing.
+// syncAcquire is one blocking acquire parked on the attach machine:
+// the caller and the machine's result. Records are pooled per kernel
+// with done bound once, so a blocking acquire allocates nothing.
 type syncAcquire struct {
-	p        *sim.Proc
-	ch       *gpu.Channel
-	err      error
-	finished bool
-	parked   bool
-	done     func(*gpu.Channel, error)
+	p    *sim.Proc
+	ch   *gpu.Channel
+	err  error
+	done func(*gpu.Channel, error)
 }
 
-// finish is the machine's continuation for a blocking caller: record
-// the result and, if the caller parked, resume it inline. A caller
-// killed while parked is not resumed (Proc.Resume) and its record is
-// simply dropped.
+// finish is the machine's continuation for a parked blocking caller:
+// record the result and resume the caller inline. A caller killed
+// while parked is not resumed (Proc.Resume) and its record is simply
+// dropped.
 func (s *syncAcquire) finish(ch *gpu.Channel, err error) {
-	s.ch, s.err, s.finished = ch, err, true
-	if s.parked {
-		s.p.Resume()
-	}
+	s.ch, s.err = ch, err
+	s.p.Resume()
 }
 
 // Acquire returns the hardware channel of the given kind, attaching the
@@ -223,10 +222,11 @@ func (s *syncAcquire) finish(ch *gpu.Channel, err error) {
 // matching Release. Returns an error only when the task is dead or a
 // protection policy denies the attach.
 //
-// It is the blocking wrapper of AcquireAsync: p parks while the attach
-// machine runs and is resumed inline (sim.Proc.Resume) in the event
-// where the machine finishes, so it continues at the event position a
-// process sleeping through every attach step would have reached.
+// It is the blocking wrapper of AcquireAsync: when the attach cannot
+// finish at once, p parks while the machine runs and is resumed inline
+// (sim.Proc.Resume) in the event where the machine finishes, so it
+// continues at the event position a process sleeping through every
+// attach step would have reached.
 func (vc *VContext) Acquire(p *sim.Proc, kind gpu.Kind) (*gpu.Channel, error) {
 	m := vc.k.mux
 	var s *syncAcquire
@@ -237,25 +237,26 @@ func (vc *VContext) Acquire(p *sim.Proc, kind gpu.Kind) (*gpu.Channel, error) {
 		s = &syncAcquire{}
 		s.done = s.finish
 	}
-	s.p = p
-	vc.AcquireAsync(kind, s.done)
-	if !s.finished {
-		s.parked = true
+	ch, now, err := vc.AcquireAsync(kind, s.done)
+	if !now {
+		s.p = p
 		p.Park()
+		ch, err = s.ch, s.err
+		*s = syncAcquire{done: s.done}
 	}
-	ch, err := s.ch, s.err
-	*s = syncAcquire{done: s.done}
 	m.syncFree = append(m.syncFree, s)
 	return ch, err
 }
 
 // AcquireAsync is the engine-context form of Acquire: it pins the
-// logical context and calls fn with the hardware channel of the given
-// kind, or with the error Acquire would return. An attached context is
-// pinned and fn runs before AcquireAsync returns; otherwise the attach
-// machine runs (or, if another acquirer's attach is in flight, waits on
-// the task gate for it) and fn runs in the event where it finishes.
-// fn is called exactly once.
+// logical context and yields the hardware channel of the given kind,
+// or the error Acquire would return. When the acquire finishes at once
+// — the context is attached or dead, or every attach step cost nothing
+// — AcquireAsync returns the result with now set and never calls fn.
+// Otherwise the attach machine runs (or, if another acquirer's attach
+// is in flight, waits on the task gate for it), AcquireAsync returns
+// with now false, and fn is called exactly once, in the event where the
+// attach finishes.
 //
 // The machine takes the blocking attach's steps at the same event
 // positions: the free-slot check and LRU eviction, the FIFO
@@ -266,15 +267,14 @@ func (vc *VContext) Acquire(p *sim.Proc, kind gpu.Kind) (*gpu.Channel, error) {
 // and a reattach's ContextSwitch. Only joining another acquirer's
 // in-flight attach allocates — a continuation per wait — and no stack
 // in this repository does that.
-func (vc *VContext) AcquireAsync(kind gpu.Kind, fn func(*gpu.Channel, error)) {
+func (vc *VContext) AcquireAsync(kind gpu.Kind, fn func(*gpu.Channel, error)) (ch *gpu.Channel, now bool, err error) {
 	if vc.closed || !vc.task.Alive {
-		fn(nil, gpu.ErrContextDead)
-		return
+		return nil, true, gpu.ErrContextDead
 	}
 	if vc.hw != nil {
 		vc.use()
-		fn(vc.grab(kind))
-		return
+		ch, err = vc.grab(kind)
+		return ch, true, err
 	}
 	if vc.attaching {
 		var wake func()
@@ -283,14 +283,29 @@ func (vc *VContext) AcquireAsync(kind gpu.Kind, fn func(*gpu.Channel, error)) {
 				vc.task.gate.Notify(wake)
 				return
 			}
-			vc.AcquireAsync(kind, fn)
+			if ch, now, err := vc.AcquireAsync(kind, fn); now {
+				fn(ch, err)
+			}
 		}
 		vc.task.gate.Notify(wake)
-		return
+		return nil, false, nil
 	}
+	// acqFn stays nil while the machine's first steps run on this call's
+	// stack: an attach whose steps all cost nothing finishes before
+	// AcquireAsync returns and leaves its result here instead of
+	// calling fn.
 	vc.attaching = true
-	vc.acqKind, vc.acqFn = kind, fn
+	vc.acqKind, vc.acqFn = kind, nil
 	vc.attachTry()
+	if vc.attaching {
+		vc.acqFn = fn
+		return nil, false, nil
+	}
+	if err, vc.acqErr = vc.acqErr, nil; err != nil {
+		return nil, true, err
+	}
+	ch, err = vc.grab(kind)
+	return ch, true, err
 }
 
 // use pins the context and stamps it most recently used.
@@ -480,6 +495,10 @@ func (vc *VContext) attachDone(err error) {
 	vc.attaching = false
 	vc.task.gate.Broadcast()
 	fn := vc.acqFn
+	if fn == nil {
+		vc.acqErr = err // finished inside AcquireAsync, which returns it
+		return
+	}
 	vc.acqFn = nil
 	if err != nil {
 		fn(nil, err)

@@ -316,8 +316,7 @@ type item struct {
 // evictable set at every instant. An engaged register hands the
 // staged, pinned request to the slow-lane process for the committed
 // faulting store. The slow lane runs inline in the same event
-// (Gate.Handoff), as does a trap-per-request or raw client's blocking
-// submission, so the mux LRU clock, attach queue order, and fault
+// (Gate.Handoff), so the mux LRU clock, attach queue order, and fault
 // observation are the blocking timeline's by construction (inline
 // handoff). The wake is edge-triggered (only the idle-to-backlogged
 // transition schedules the drain), and Config.BatchDrain turns a
@@ -335,16 +334,12 @@ type dispatcher struct {
 
 	// The request in flight: cur is the item being submitted, step what
 	// the drain owes it next, and r its staged request, whose acquire
-	// pins the context until its doorbell lands. faulting marks r as
-	// handed to the slow lane for a faulting store; acq and acqCh carry
-	// an AcquireAsync call's state and channel.
-	cur      item
-	step     drainStep
-	faulting bool
-	r        *gpu.Request
-	dw       sim.Duration
-	acq      acqState
-	acqCh    *gpu.Channel
+	// pins the context until its doorbell lands or, handed to the slow
+	// lane, its faulting store completes.
+	cur  item
+	step drainStep
+	r    *gpu.Request
+	dw   sim.Duration
 
 	// The callbacks, bound once so the hot path allocates nothing:
 	// doneFn is the completion hook every request of this (stream,
@@ -356,17 +351,6 @@ type dispatcher struct {
 	landedFn  func()
 	acquireFn func(*gpu.Channel, error)
 }
-
-// acqState tracks a drain's AcquireAsync call, whose continuation may
-// run before the call returns (context attached, or task dead) or in a
-// later event (attach in flight).
-type acqState uint8
-
-const (
-	acqIdle    acqState = iota
-	acqCalling          // inside AcquireAsync
-	acqInline           // the channel arrived before AcquireAsync returned
-)
 
 // drainStep is what the drain owes its current item next.
 type drainStep uint8
@@ -400,9 +384,8 @@ func (d *dispatcher) wake() {
 
 // run is the slow-lane process: it opens the tenant's client on the
 // node (anything queued during setup is drained right after), then
-// parks until the machine hands it a submission that must block — a
-// staged request whose store must fault, or a trap-per-request or raw
-// client's blocking submission — and drains on from there.
+// parks until the machine hands it a staged request whose store must
+// fault, and drains on from there.
 func (d *dispatcher) run(p *sim.Proc) {
 	client, err := d.st.ft.Client(p, d.node)
 	if err != nil {
@@ -415,17 +398,16 @@ func (d *dispatcher) run(p *sim.Proc) {
 	for {
 		d.drain(p)
 		p.Wait(d.gate)
-		if d.faulting {
-			d.fault(p)
-		}
+		d.fault(p)
 	}
 }
 
 // drain advances the queue until the dispatcher must wait: for an
-// arrival (idle), for a fast-path doorbell to land (landed resumes), or
-// for a blocking submission. p is the slow-lane process when the drain
-// runs on it and nil in engine context, where a refusal hands the
-// drain to the process inline and returns once the process blocks.
+// arrival (idle), for an attach to finish (onAcquired resumes), for a
+// fast-path doorbell to land (landed resumes), or for a faulting store.
+// p is the slow-lane process when the drain runs on it and nil in
+// engine context, where a faulting store hands the drain to the
+// process inline and returns once the process blocks.
 func (d *dispatcher) drain(p *sim.Proc) {
 	for {
 		if d.step == stepNext {
@@ -453,39 +435,20 @@ func (d *dispatcher) drain(p *sim.Proc) {
 				d.step = stepCold
 			}
 		}
-		size := d.size()
-		if vc := d.client.VC; vc != nil && !d.client.TrapPerRequest {
-			d.acq = acqCalling
-			vc.AcquireAsync(d.st.kind, d.acquireFn)
-			inline := d.acq == acqInline
-			d.acq = acqIdle
-			if !inline {
-				return // attaching: onAcquired drains on
-			}
-			if !d.submitOn(p, size) {
-				return
-			}
-			continue
+		ch, now, _ := d.client.VC.AcquireAsync(d.st.kind, d.acquireFn)
+		if !now {
+			return // attaching: onAcquired drains on
 		}
-		// A raw or trap-per-request client's submission blocks: it runs
-		// whole on the slow lane.
-		if p == nil {
-			d.gate.Handoff()
+		if !d.submitOn(p, ch) {
 			return
 		}
-		d.submitted(d.client.SubmitDetached(p, d.st.kind, size))
 	}
 }
 
 // onAcquired is the attach machine's continuation: the channel the
 // current item goes to, pinned, or nil when the task died first.
 func (d *dispatcher) onAcquired(ch *gpu.Channel, _ error) {
-	d.acqCh = ch
-	if d.acq == acqCalling {
-		d.acq = acqInline // the drain loop submits
-		return
-	}
-	if d.submitOn(nil, d.size()) {
+	if d.submitOn(nil, ch) {
 		d.drain(nil)
 	}
 }
@@ -499,24 +462,22 @@ func (d *dispatcher) size() sim.Duration {
 	return d.st.size
 }
 
-// submitOn submits the current item on the acquired channel, on the
-// lane p (nil: engine context), and reports whether the drain may go
-// on at once. A present register takes the async doorbell, the pin
-// held until it lands (pin-until-delivery); an engaged one commits the
-// staged request to the faulting store on the slow lane.
-func (d *dispatcher) submitOn(p *sim.Proc, size sim.Duration) bool {
-	ch := d.acqCh
-	d.acqCh = nil
+// submitOn submits the current item on the acquired channel ch (nil:
+// the task died first), on the lane p (nil: engine context), and
+// reports whether the drain may go on at once. A present register
+// takes the async doorbell, the pin held until it lands
+// (pin-until-delivery); an engaged one commits the staged request to
+// the faulting store on the slow lane.
+func (d *dispatcher) submitOn(p *sim.Proc, ch *gpu.Channel) bool {
 	if ch == nil {
 		d.submitted(nil)
 		return true
 	}
-	d.r = ch.Stage(size, d.st.kind)
+	d.r = ch.Stage(d.size(), d.st.kind)
 	if ch.Reg.StoreAsync(d.srv.eng, d.r.Ref) {
 		d.srv.eng.After(d.dw, d.landedFn)
 		return false
 	}
-	d.faulting = true
 	if p == nil {
 		d.gate.Handoff()
 		return false
@@ -529,7 +490,6 @@ func (d *dispatcher) submitOn(p *sim.Proc, size sim.Duration) bool {
 // request: trap, kernel handler (which may hold p arbitrarily), then
 // the single-stepped doorbell; the pin is released after it.
 func (d *dispatcher) fault(p *sim.Proc) {
-	d.faulting = false
 	r := d.r
 	d.r = nil
 	r.Channel().Reg.StoreFaulting(p, r.Ref)
