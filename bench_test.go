@@ -12,6 +12,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/neon"
 	"repro/internal/sim"
+	"repro/internal/traffic"
 	"repro/internal/userlib"
 	"repro/internal/workload"
 )
@@ -435,6 +436,100 @@ func BenchmarkMuxReattach(b *testing.B) {
 	}
 }
 
+// BenchmarkEngagedFault prices one engaged-register fault (DESIGN.md
+// §14): the channel stays engaged and the scheduler lets the task run,
+// so each op is a task thread's faulting store of a staged request —
+// the FaultTrap, the kernel's FaultScan and scheduler check, the
+// single-stepped doorbell — then the request's execution and
+// completion. The store is the blocking wrapper over the fault
+// machine: the thread parks once and is resumed where the store is
+// delivered. The kernel pools the fault records, so the steady state
+// allocates nothing.
+func BenchmarkEngagedFault(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine()
+	k := neon.NewKernel(gpu.New(eng, gpu.DefaultConfig()), benchEngaged{})
+	t := k.NewTask("faulting")
+	next := eng.NewGate("next")
+	t.Go("store", func(p *sim.Proc) {
+		c, err := userlib.Open(p, k, t, "faulting", gpu.Compute)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		ch := c.Channel(gpu.Compute)
+		for {
+			p.Wait(next)
+			r := ch.Stage(time.Microsecond, gpu.Compute)
+			ch.Reg.Store(p, r.Ref)
+			p.Wait(r.DoneGate())
+			r.Release()
+		}
+	})
+	eng.Run()
+	fault := func() {
+		next.Signal()
+		eng.Run()
+	}
+	fault()
+	faults := k.TotalFaults
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fault()
+	}
+	b.StopTimer()
+	if got := k.TotalFaults - faults; got != int64(b.N) {
+		b.Fatalf("%d faults in %d ops, want one per op", got, b.N)
+	}
+}
+
+// benchEngaged keeps every channel engaged and lets every task run: each
+// submission faults and is let through at once.
+type benchEngaged struct{ benchNoSched }
+
+func (benchEngaged) ChannelActivated(cs *neon.ChannelState) { cs.Ch.Reg.SetPresent(false) }
+
+// BenchmarkServerBuild1e3 prices a 10³-tenant server's set-up, the
+// storm workload's shape at a tenth of its population: traffic.New of
+// staggered open-loop tenants on one 48-context DFQ device, then one
+// arrival gap, in which every tenant's dispatcher opens its client and
+// serves its first request. Each tenant costs a task, a virtual
+// context, a dispatcher and its bound callbacks; its arrival stream's
+// math/rand source is never built (Staggered draws nothing) and it
+// runs no process.
+func BenchmarkServerBuild1e3(b *testing.B) {
+	b.ReportAllocs()
+	const tenants, gap = 1000, 20 * time.Millisecond
+	streams := make([]traffic.Stream, tenants)
+	for i := range streams {
+		streams[i].Tenant = workload.OpenLoopTenant(fmt.Sprintf("t%04d", i), 5*time.Microsecond, 0)
+	}
+	for i := 0; i < b.N; i++ {
+		for j := range streams {
+			phase := 1 + sim.Duration(j)*(gap-1)/tenants
+			streams[j].Arrival = &traffic.Staggered{Phase: phase, Gap: gap}
+		}
+		eng := sim.NewEngine()
+		srv, err := traffic.New(eng, traffic.Config{
+			Fleet: fleet.Config{
+				Devices: 1,
+				GPU:     gpu.Config{MaxContexts: 48},
+				Sched:   "dfq",
+				DFQ:     core.DFQConfig{SamplePeriod: 500 * time.Microsecond, SampleRequests: 4},
+				Seed:    1,
+			},
+			Streams: streams,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng.RunFor(gap)
+		if err := srv.SetupError(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBoardReconcile measures one fleet reconciliation episode on
 // a board already holding 10^4 registered, fleet-active principals: 64
 // charges plus activity marks folded into the sharded ledger through
@@ -506,9 +601,9 @@ func BenchmarkPlaceRequestMixedClassSticky(b *testing.B) { benchPlaceRequest(b, 
 
 type benchNoSched struct{}
 
-func (benchNoSched) Name() string                                          { return "none" }
-func (benchNoSched) Start(*neon.Kernel)                                    {}
-func (benchNoSched) TaskAdmitted(*neon.Task)                               {}
-func (benchNoSched) TaskExited(*neon.Task)                                 {}
-func (benchNoSched) ChannelActivated(cs *neon.ChannelState)                { cs.Ch.Reg.SetPresent(true) }
-func (benchNoSched) HandleFault(*sim.Proc, *neon.Task, *neon.ChannelState) {}
+func (benchNoSched) Name() string                           { return "none" }
+func (benchNoSched) Start(*neon.Kernel)                     {}
+func (benchNoSched) TaskAdmitted(*neon.Task)                {}
+func (benchNoSched) TaskExited(*neon.Task)                  {}
+func (benchNoSched) ChannelActivated(cs *neon.ChannelState) { cs.Ch.Reg.SetPresent(true) }
+func (benchNoSched) MayRun(*neon.Task) bool                 { return true }

@@ -84,6 +84,7 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
 		"BENCH_8.json", "BENCH_9.json", "BENCH_12.json", "BENCH_13.json",
 		"BenchmarkDFQEpisodeTenants1e4", "BenchmarkMuxReattach", "BENCH_14.json",
+		"BenchmarkEngagedFault", "BenchmarkServerBuild1e3", "BENCH_15.json",
 		"DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
@@ -162,8 +163,8 @@ func TestDesignDocCoversScaleIndex(t *testing.T) {
 }
 
 // TestDesignDocCoversSubmission pins DESIGN.md §14's anchor terms: the
-// continuation API, the slow-path commitment rules (committed fault,
-// side-effect-free peek, inline handoff, pin until delivery), the
+// continuation API, the fault machine, the slow-path commitment rules
+// (committed fault, side-effect-free peek, pin until delivery), the
 // batch staging surface, and every test and benchmark the section
 // cites as evidence must keep their names.
 func TestDesignDocCoversSubmission(t *testing.T) {
@@ -185,11 +186,14 @@ func TestDesignDocCoversSubmission(t *testing.T) {
 		"TestBatchDrainUnderDFQEngagement", "TestBatchDrainStampsSojourns",
 		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
 		"BenchmarkDispatcherDrainBatched",
-		"sim.Gate.Handoff", "sim.Gate.Notify", "inline-handoff rule",
-		"pin-until-delivery rule",
-		"sim.Engine.Activations", "TestHandoffRunsProcessInline",
-		"TestHandoffPanicsInProcessContext", "TestNotifyJoinsProcessFIFO",
+		"sim.Gate.Notify", "pin-until-delivery rule",
+		"sim.Engine.Activations", "TestNotifyJoinsProcessFIFO",
 		"TestServeRunsOnContinuations", "TestStormRunsOnContinuations",
+		"mmio.Page.StoreFaultingAsync", "neon.Scheduler.MayRun",
+		"mmio.FaultHandler", "TestFaultMachineTimeline",
+		"TestFaultKilledAtEachStepEngine", "TestFaultKilledAtEachStepBlocking",
+		"TestDispatcherFaultKilledAtEachStep", "BenchmarkEngagedFault",
+		"fleet.Tenant.ClientAsync",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)
@@ -219,6 +223,7 @@ func TestDesignDocCoversMux(t *testing.T) {
 		"inline-resume rule", "TestAttachKilledAtEachStepAsync",
 		"TestAttachKilledAtEachStepBlocking",
 		"TestBlockingReattachAllocatesOnlyTheRebuild",
+		"Kernel.OpenVirtualAsync",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

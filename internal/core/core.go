@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"repro/internal/neon"
-	"repro/internal/sim"
 )
 
 // New constructs a scheduler by policy name, using default parameters.
@@ -84,7 +83,7 @@ func (*DirectAccess) ChannelActivated(cs *neon.ChannelState) {
 	cs.Ch.Reg.SetPresent(true)
 }
 
-// HandleFault implements neon.Scheduler. Unreachable under this policy.
-func (*DirectAccess) HandleFault(p *sim.Proc, t *neon.Task, cs *neon.ChannelState) {}
+// MayRun implements neon.Scheduler: every task always may.
+func (*DirectAccess) MayRun(*neon.Task) bool { return true }
 
 var _ neon.Scheduler = (*DirectAccess)(nil)

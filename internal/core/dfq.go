@@ -327,17 +327,12 @@ func (d *DisengagedFairQueueing) TaskExited(t *neon.Task) {
 // ChannelActivated implements neon.Scheduler: new channels are mapped
 // directly only while their task is free to run.
 func (d *DisengagedFairQueueing) ChannelActivated(cs *neon.ChannelState) {
-	cs.Ch.Reg.SetPresent(d.mayRun(cs.Task))
+	cs.Ch.Reg.SetPresent(d.MayRun(cs.Task))
 }
 
-// HandleFault implements neon.Scheduler: submissions from barriered or
+// MayRun implements neon.Scheduler: submissions from barriered or
 // denied tasks wait; the sampled task and free-running tasks proceed.
-func (d *DisengagedFairQueueing) HandleFault(p *sim.Proc, t *neon.Task, cs *neon.ChannelState) {
-	p.WaitFor(t.Gate(), func() bool { return !t.Alive || d.mayRun(t) })
-}
-
-// mayRun reports whether the task's submissions may currently proceed.
-func (d *DisengagedFairQueueing) mayRun(t *neon.Task) bool {
+func (d *DisengagedFairQueueing) MayRun(t *neon.Task) bool {
 	switch d.mode {
 	case dfqSampling:
 		return t == d.sampled

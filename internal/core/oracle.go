@@ -91,11 +91,9 @@ func (o *OracleFairQueueing) ChannelActivated(cs *neon.ChannelState) {
 	cs.Ch.Reg.SetPresent(!o.Denied(cs.Task))
 }
 
-// HandleFault implements neon.Scheduler: only denied tasks ever fault,
-// and they wait out the interval.
-func (o *OracleFairQueueing) HandleFault(p *sim.Proc, t *neon.Task, cs *neon.ChannelState) {
-	p.WaitFor(t.Gate(), func() bool { return !t.Alive || !o.Denied(t) })
-}
+// MayRun implements neon.Scheduler: only denied tasks ever fault, and
+// they wait out the interval.
+func (o *OracleFairQueueing) MayRun(t *neon.Task) bool { return !o.Denied(t) }
 
 // run reads hardware usage counters each interval and updates the
 // fair-queueing state. No draining or sampling is ever needed.

@@ -430,3 +430,36 @@ func TestBoardEagerClampDifferential(t *testing.T) {
 		}
 	}
 }
+
+// ReconcileEpisode is the map-keyed form of the exchange (the original
+// core.FleetVT surface), kept here as the tests' readable front end to
+// ReconcileEpisodeBatch, which schedulers report through. charges is
+// the estimated normalized work attributed to each principal this
+// episode; active marks the principals with work pending there (false
+// explicitly clears the mark). The returned map holds, for every
+// principal in either argument, its reconciled lead over the fleet-wide
+// system virtual time.
+func (b *Board) ReconcileEpisode(device string, charges map[string]core.Work,
+	active map[string]bool) map[string]core.Work {
+	batch := make([]core.EpisodeEntry, 0, len(charges)+len(active))
+	idx := make(map[string]int, len(charges)+len(active))
+	for name, c := range charges {
+		idx[name] = len(batch)
+		batch = append(batch, core.EpisodeEntry{Principal: b.Principal(name), Charge: c})
+	}
+	for name, a := range active {
+		if j, ok := idx[name]; ok {
+			batch[j].Marked = true
+			batch[j].Active = a
+			continue
+		}
+		idx[name] = len(batch)
+		batch = append(batch, core.EpisodeEntry{Principal: b.Principal(name), Marked: true, Active: a})
+	}
+	b.ReconcileEpisodeBatch(device, batch)
+	leads := make(map[string]core.Work, len(batch))
+	for name, j := range idx {
+		leads[name] = batch[j].Lead
+	}
+	return leads
+}

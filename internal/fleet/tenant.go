@@ -191,37 +191,73 @@ func (t *Tenant) ResetStats() {
 }
 
 // Client lazily opens the tenant's context and channels on the node,
-// paying the setup syscalls on first touch (the exported form for the
-// serving layer's dispatchers).
+// paying the setup syscalls on first touch.
 func (t *Tenant) Client(p *sim.Proc, n *Node) (*userlib.Client, error) {
-	return t.clientOn(p, n)
+	if c, ok := t.clients[n]; ok {
+		return live(c)
+	}
+	task := t.newTask(n)
+	c, err := userlib.OpenVirtual(p, n.Kernel, task, t.Spec.Name, t.kinds()...)
+	return t.adopt(n, task, c, err)
+}
+
+// ClientAsync is the engine-context form of Client (the serving
+// layer's dispatchers open their clients with it): a client that is
+// ready at once — already open, or opened without waiting on an attach
+// step — is returned with now set and fn is never called; otherwise fn
+// receives the client (or the error) in the event where its eager
+// attach finishes (userlib.OpenVirtualAsync).
+func (t *Tenant) ClientAsync(n *Node, fn func(*userlib.Client, error)) (*userlib.Client, bool, error) {
+	if c, ok := t.clients[n]; ok {
+		c, err := live(c)
+		return c, true, err
+	}
+	task := t.newTask(n)
+	c, now, err := userlib.OpenVirtualAsync(n.Kernel, task, t.Spec.Name, t.kinds(), func(c *userlib.Client, err error) {
+		fn(t.adopt(n, task, c, err))
+	})
+	if !now {
+		return nil, false, nil
+	}
+	c, err = t.adopt(n, task, c, err)
+	return c, true, err
 }
 
 // Task returns the tenant's kernel task on the node, nil before the
 // first Client call there.
 func (t *Tenant) Task(n *Node) *neon.Task { return t.tasks[n] }
 
-// clientOn lazily opens the tenant's context and channels on the node,
-// paying the setup syscalls on first touch.
-func (t *Tenant) clientOn(p *sim.Proc, n *Node) (*userlib.Client, error) {
-	if c, ok := t.clients[n]; ok {
-		if !c.Task.Alive {
-			// Killed on this node: the logical handle is dead and round
-			// loops must stop rather than spin on nil submissions.
-			return nil, gpu.ErrContextDead
-		}
-		return c, nil
+// live returns an open client, unless its task was killed on the node:
+// the logical handle is then dead, and round loops must stop rather
+// than spin on nil submissions.
+func live(c *userlib.Client) (*userlib.Client, error) {
+	if !c.Task.Alive {
+		return nil, gpu.ErrContextDead
 	}
+	return c, nil
+}
+
+// newTask admits the tenant's kernel task on a node.
+func (t *Tenant) newTask(n *Node) *neon.Task {
 	task := n.Kernel.NewTask(t.Spec.Name)
 	task.Weight = t.EffectiveWeight()
-	kinds := t.Spec.Channels
-	if len(kinds) == 0 {
-		kinds = []gpu.Kind{gpu.Compute}
+	return task
+}
+
+// kinds returns the channel kinds the tenant's clients open.
+func (t *Tenant) kinds() []gpu.Kind {
+	if kinds := t.Spec.Channels; len(kinds) > 0 {
+		return kinds
 	}
-	// Logical (virtual-context) handle: the node's kernel multiplexes
-	// the device's fixed hardware-context pool underneath, so tenant
-	// populations are no longer capped by gpu.Config.MaxContexts.
-	c, err := userlib.OpenVirtual(p, n.Kernel, task, t.Spec.Name, kinds...)
+	return []gpu.Kind{gpu.Compute}
+}
+
+// adopt records a client opened on a node (nothing, when the open
+// failed) and passes the open's result through. The client is a
+// logical (virtual-context) handle: the node's kernel multiplexes the
+// device's fixed hardware-context pool underneath, so tenant
+// populations are not capped by gpu.Config.MaxContexts.
+func (t *Tenant) adopt(n *Node, task *neon.Task, c *userlib.Client, err error) (*userlib.Client, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +344,7 @@ func (t *Tenant) step(p *sim.Proc) {
 					return
 				}
 			}
-			client, err := t.clientOn(p, t.node)
+			client, err := t.Client(p, t.node)
 			if err != nil {
 				t.setupErr = err
 				t.fleet.roundDone(t.node)

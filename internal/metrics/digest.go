@@ -13,6 +13,16 @@ const digestSubBits = 5
 // digestSubCount is the number of linear sub-buckets per octave (32).
 const digestSubCount = 1 << digestSubBits
 
+// digestBuckets is the number of buckets that cover every non-negative
+// int64: the exact ones below digestSubCount, then one octave of
+// digestSubCount sub-buckets per remaining bit.
+const digestBuckets = (64 - digestSubBits) << digestSubBits
+
+// digestSlack is how far, in buckets, a digest's first window reaches
+// past its first observation on either side: two octaves, so a
+// stream's usual spread fits without regrowing.
+const digestSlack = 2 * digestSubCount
+
 // Digest is a streaming quantile sketch for latency observations — an
 // HDR-histogram-style structure: exact counts below 32 ns, then 32
 // linear sub-buckets per power-of-two octave. Adds are O(1), memory is
@@ -20,6 +30,12 @@ const digestSubCount = 1 << digestSubBits
 // bucket-wise addition, and everything is deterministic — no sampling,
 // no randomized compaction — so parallel and serial experiment runs
 // stay byte-identical.
+//
+// Counts are stored only over the bucket window the digest has seen:
+// counts[i] is bucket lo+i, and the window grows geometrically toward
+// whichever side a new observation falls outside it. A tenant whose
+// latencies span a few octaves holds a hundred-odd buckets, not the
+// ~600 a dense array from bucket 0 needs to reach a millisecond.
 //
 // Accuracy: a reported quantile is the midpoint of the bucket holding
 // the true rank-q observation, so its relative error is at most half a
@@ -29,6 +45,7 @@ const digestSubCount = 1 << digestSubBits
 // the bound against exact sorted-sample quantiles.
 type Digest struct {
 	counts []int64
+	lo     int
 	total  int64
 	min    int64
 	max    int64
@@ -64,12 +81,10 @@ func (d *Digest) Add(v time.Duration) {
 		x = 0
 	}
 	b := digestBucket(x)
-	if b >= len(d.counts) {
-		grown := make([]int64, b+1)
-		copy(grown, d.counts)
-		d.counts = grown
+	if b < d.lo || b >= d.lo+len(d.counts) {
+		d.reach(b, b+1)
 	}
-	d.counts[b]++
+	d.counts[b-d.lo]++
 	if d.total == 0 || x < d.min {
 		d.min = x
 	}
@@ -101,10 +116,10 @@ func (d *Digest) Quantile(q float64) time.Duration {
 		rank = d.total
 	}
 	var cum int64
-	for b, c := range d.counts {
+	for i, c := range d.counts {
 		cum += c
 		if cum >= rank {
-			v := digestMid(b)
+			v := digestMid(d.lo + i)
 			if v < d.min {
 				v = d.min
 			}
@@ -122,13 +137,10 @@ func (d *Digest) Merge(o *Digest) {
 	if o.total == 0 {
 		return
 	}
-	if len(o.counts) > len(d.counts) {
-		grown := make([]int64, len(o.counts))
-		copy(grown, d.counts)
-		d.counts = grown
-	}
-	for b, c := range o.counts {
-		d.counts[b] += c
+	d.reach(o.lo, o.lo+len(o.counts))
+	at := d.counts[o.lo-d.lo:]
+	for i, c := range o.counts {
+		at[i] += c
 	}
 	if d.total == 0 || o.min < d.min {
 		d.min = o.min
@@ -139,7 +151,36 @@ func (d *Digest) Merge(o *Digest) {
 	d.total += o.total
 }
 
-// Reset clears the digest for reuse (warmup exclusion).
+// reach widens the window to cover buckets [lo, hi). The first window
+// spans two octaves either side of what it must cover; a window that
+// must grow at least doubles, extending on the side it grew toward
+// (clipped to the bucket range), so a drifting stream regrows it a
+// logarithmic number of times.
+func (d *Digest) reach(lo, hi int) {
+	if len(d.counts) == 0 {
+		lo, hi = max(0, lo-digestSlack), min(digestBuckets, hi+digestSlack)
+		d.lo, d.counts = lo, make([]int64, hi-lo)
+		return
+	}
+	oldLo, oldHi := d.lo, d.lo+len(d.counts)
+	if lo >= oldLo && hi <= oldHi {
+		return
+	}
+	lo, hi = min(lo, oldLo), max(hi, oldHi)
+	if n := 2 * len(d.counts); hi-lo < n {
+		if lo < oldLo {
+			lo = max(0, hi-n)
+		} else {
+			hi = min(digestBuckets, lo+n)
+		}
+	}
+	grown := make([]int64, hi-lo)
+	copy(grown[oldLo-lo:], d.counts)
+	d.lo, d.counts = lo, grown
+}
+
+// Reset clears the digest for reuse (warmup exclusion). The window and
+// its storage are kept.
 func (d *Digest) Reset() {
 	for i := range d.counts {
 		d.counts[i] = 0

@@ -140,3 +140,112 @@ func TestDigestBucketMonotone(t *testing.T) {
 		}
 	}
 }
+
+// denseDigest is the reference oracle for Digest: the same buckets,
+// counted in a dense array from bucket 0 (the digest's original
+// layout). FuzzDigest checks the windowed digest against it.
+type denseDigest struct {
+	counts          []int64
+	total, min, max int64
+}
+
+func (d *denseDigest) Add(v time.Duration) {
+	x := max(int64(v), 0)
+	b := digestBucket(x)
+	if b >= len(d.counts) {
+		grown := make([]int64, b+1)
+		copy(grown, d.counts)
+		d.counts = grown
+	}
+	d.counts[b]++
+	if d.total == 0 || x < d.min {
+		d.min = x
+	}
+	if d.total == 0 || x > d.max {
+		d.max = x
+	}
+	d.total++
+}
+
+func (d *denseDigest) Quantile(q float64) time.Duration {
+	if d.total == 0 {
+		return 0
+	}
+	rank := min(max(int64(math.Ceil(q*float64(d.total))), 1), d.total)
+	var cum int64
+	for b, c := range d.counts {
+		cum += c
+		if cum >= rank {
+			return time.Duration(min(max(digestMid(b), d.min), d.max))
+		}
+	}
+	return time.Duration(d.max)
+}
+
+func (d *denseDigest) Merge(o *denseDigest) {
+	if o.total == 0 {
+		return
+	}
+	if len(o.counts) > len(d.counts) {
+		grown := make([]int64, len(o.counts))
+		copy(grown, d.counts)
+		d.counts = grown
+	}
+	for b, c := range o.counts {
+		d.counts[b] += c
+	}
+	if d.total == 0 || o.min < d.min {
+		d.min = o.min
+	}
+	if d.total == 0 || o.max > d.max {
+		d.max = o.max
+	}
+	d.total += o.total
+}
+
+func (d *denseDigest) Reset() {
+	clear(d.counts)
+	d.total, d.min, d.max = 0, 0, 0
+}
+
+// FuzzDigest drives two windowed digests and their dense oracles
+// through an arbitrary encoded op sequence — Add (of a value spread
+// over every octave), Merge either way, Reset — and after every op
+// checks N, Min, Max and a sweep of quantiles against the oracle.
+// Ops are 3 bytes: opcode, then a 16-bit operand.
+func FuzzDigest(f *testing.F) {
+	f.Add([]byte{0, 0, 5, 0, 200, 9, 1, 3, 3, 2, 0, 0, 4, 0, 0, 0, 255, 255})
+	f.Add([]byte{1, 120, 0, 1, 0, 1, 3, 0, 0, 0, 40, 40, 5, 0, 0, 2, 0, 0})
+	qs := []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w [2]Digest
+		var o [2]denseDigest
+		for n := 0; n+2 < len(data) && n < 3*1024; n += 3 {
+			op, arg := data[n]%6, int64(data[n+1])<<8|int64(data[n+2])
+			i := int(op & 1)
+			switch op {
+			case 0, 1: // add: the high bits pick the octave, the rest the mantissa
+				v := time.Duration((arg&0x3ff)<<(arg>>10)) - 3
+				w[i].Add(v)
+				o[i].Add(v)
+			case 2, 3: // merge the other digest into this one
+				w[i].Merge(&w[1-i])
+				o[i].Merge(&o[1-i])
+			case 4, 5:
+				w[i].Reset()
+				o[i].Reset()
+			}
+			for j := range w {
+				if w[j].N() != o[j].total || int64(w[j].Min()) != o[j].min || int64(w[j].Max()) != o[j].max {
+					t.Fatalf("op %d: digest %d has N/min/max %d/%v/%v, oracle %d/%d/%d",
+						n/3, j, w[j].N(), w[j].Min(), w[j].Max(), o[j].total, o[j].min, o[j].max)
+				}
+				for _, q := range qs {
+					if got, want := w[j].Quantile(q), o[j].Quantile(q); got != want {
+						t.Fatalf("op %d: digest %d q=%v: %v, oracle %v", n/3, j, q, got, want)
+					}
+				}
+			}
+		}
+	})
+}

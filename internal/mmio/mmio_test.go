@@ -14,6 +14,9 @@ func testPage(e *sim.Engine) (*Page, *[]uint64) {
 	return pg, &delivered
 }
 
+// passHandler lets every fault through at once.
+func passHandler() *FaultHandler { return &FaultHandler{Handle: (*Fault).Deliver} }
+
 func TestDirectStoreCostsDirectWrite(t *testing.T) {
 	e := sim.NewEngine()
 	pg, delivered := testPage(e)
@@ -40,15 +43,16 @@ func TestProtectedStoreFaults(t *testing.T) {
 	pg, delivered := testPage(e)
 	pg.SetPresent(false)
 	handled := false
-	pg.SetHandler(func(p *sim.Proc, w Write) {
+	pg.SetHandler(&FaultHandler{Handle: func(f *Fault) {
 		handled = true
-		if w.Value != 7 || w.Page != pg {
-			t.Errorf("handler saw %+v", w)
+		if f.Value != 7 || f.Page != pg {
+			t.Errorf("handler saw %+v", f)
 		}
 		if len(*delivered) != 0 {
 			t.Error("store reached device before handler returned")
 		}
-	})
+		f.Deliver()
+	}})
 	e.Spawn("w", func(p *sim.Proc) { pg.Store(p, 7) })
 	e.Run()
 	if !handled {
@@ -66,7 +70,7 @@ func TestFaultCostCharged(t *testing.T) {
 	e := sim.NewEngine()
 	pg, _ := testPage(e)
 	pg.SetPresent(false)
-	pg.SetHandler(func(p *sim.Proc, w Write) {})
+	pg.SetHandler(passHandler())
 	var took sim.Duration
 	e.Spawn("w", func(p *sim.Proc) {
 		start := p.Now()
@@ -84,7 +88,7 @@ func TestHandlerMayBlockSubmitter(t *testing.T) {
 	pg, delivered := testPage(e)
 	pg.SetPresent(false)
 	gate := e.NewGate("allow")
-	pg.SetHandler(func(p *sim.Proc, w Write) { p.Wait(gate) })
+	pg.SetHandler(&FaultHandler{Handle: func(f *Fault) { gate.Notify(f.Then((*Fault).Deliver)) }})
 	var doneAt sim.Time
 	e.Spawn("w", func(p *sim.Proc) {
 		pg.Store(p, 9)
@@ -104,7 +108,7 @@ func TestReprotectionPersistsAcrossStores(t *testing.T) {
 	e := sim.NewEngine()
 	pg, _ := testPage(e)
 	pg.SetPresent(false)
-	pg.SetHandler(func(p *sim.Proc, w Write) {})
+	pg.SetHandler(passHandler())
 	e.Spawn("w", func(p *sim.Proc) {
 		pg.Store(p, 1)
 		pg.Store(p, 2)
@@ -120,7 +124,7 @@ func TestUnprotectedAfterDisengage(t *testing.T) {
 	e := sim.NewEngine()
 	pg, _ := testPage(e)
 	pg.SetPresent(false)
-	pg.SetHandler(func(p *sim.Proc, w Write) {})
+	pg.SetHandler(passHandler())
 	e.Spawn("w", func(p *sim.Proc) {
 		pg.Store(p, 1)
 		pg.SetPresent(true) // disengage

@@ -128,6 +128,50 @@ const anyKind gpu.Kind = -1
 // un-multiplexed stack. Otherwise the logical context starts detached
 // and the first Acquire attaches it (queueing for a slot if needed).
 func (k *Kernel) OpenVirtual(p *sim.Proc, t *Task, label string, kinds ...gpu.Kind) (*VContext, error) {
+	vc, err := k.newVirtual(t, label, kinds)
+	if err == nil && k.muxFree() > 0 {
+		if _, err = vc.Acquire(p, anyKind); err == nil {
+			vc.unpin()
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return vc, nil
+}
+
+// OpenVirtualAsync is the engine-context form of OpenVirtual: its eager
+// attach runs on the attach machine (AcquireAsync). When the open
+// finishes at once — no slot is free, so nothing attaches, or every
+// attach step cost nothing, or it failed — it returns the logical
+// context (nil on error) with now set and never calls fn. Otherwise it
+// returns with now false, and fn is called once, in the event where
+// the attach finishes, with what OpenVirtual would have returned.
+func (k *Kernel) OpenVirtualAsync(t *Task, label string, kinds []gpu.Kind, fn func(*VContext, error)) (*VContext, bool, error) {
+	vc, err := k.newVirtual(t, label, kinds)
+	if err != nil || k.muxFree() <= 0 {
+		return vc, true, err
+	}
+	_, now, err := vc.AcquireAsync(anyKind, func(_ *gpu.Channel, err error) {
+		if err != nil {
+			fn(nil, err)
+			return
+		}
+		vc.unpin()
+		fn(vc, nil)
+	})
+	if !now {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, true, err
+	}
+	vc.unpin()
+	return vc, true, nil
+}
+
+// newVirtual registers a detached logical context for the task.
+func (k *Kernel) newVirtual(t *Task, label string, kinds []gpu.Kind) (*VContext, error) {
 	if !t.Alive {
 		return nil, gpu.ErrContextDead
 	}
@@ -147,12 +191,6 @@ func (k *Kernel) OpenVirtual(p *sim.Proc, t *Task, label string, kinds ...gpu.Ki
 	vc := &VContext{k: k, task: t, label: label, kinds: kinds}
 	t.vctxs = append(t.vctxs, vc)
 	k.mux.stats.Opens++
-	if k.muxFree() > 0 {
-		if _, err := vc.Acquire(p, anyKind); err != nil {
-			return nil, err
-		}
-		vc.unpin()
-	}
 	return vc, nil
 }
 

@@ -10,8 +10,8 @@
 //     while disengaged);
 //   - a page-fault handling mechanism that catches channel-register
 //     writes while a channel is engaged, charges the per-fault buffer
-//     scanning cost, and passes control to the attached scheduler, which
-//     may delay the faulting process arbitrarily;
+//     scanning cost, and holds the faulting store until the attached
+//     scheduler lets the task run, which may delay it arbitrarily;
 //   - a polling-thread service that detects request completion by reading
 //     device-written reference counters at a configurable granularity —
 //     the granularity is the source of draining idleness in the paper's
@@ -53,11 +53,13 @@ type Scheduler interface {
 	// ChannelActivated is called when a channel completes its
 	// initialization phase. The scheduler decides its protection state.
 	ChannelActivated(cs *ChannelState)
-	// HandleFault is called, in the faulting process's context, for every
-	// intercepted request submission. It may block the process (that is
-	// how requests are delayed); when it returns the submission proceeds
-	// to the device.
-	HandleFault(p *sim.Proc, t *Task, cs *ChannelState)
+	// MayRun reports whether the task's intercepted submissions may
+	// proceed to the device now. The kernel holds every faulting store
+	// of a live task until it does, re-asking each time the task's gate
+	// is broadcast (that is how requests are delayed), so a scheduler
+	// that changes the answer broadcasts the gate. It must not block or
+	// change scheduler state.
+	MayRun(t *Task) bool
 }
 
 // ChannelState is the kernel's per-channel bookkeeping: the channel
@@ -129,9 +131,9 @@ type Kernel struct {
 	draining   bool
 	drainBuf   []*Task
 
-	// onFaultFn is onFault bound once, installed on every channel page
-	// the kernel creates.
-	onFaultFn mmio.FaultHandler
+	// faults is the fault handler installed on every channel page the
+	// kernel creates; it pools the fault records.
+	faults mmio.FaultHandler
 }
 
 // NewKernel attaches a kernel to the device and starts the scheduler.
@@ -145,7 +147,7 @@ func NewKernel(dev *gpu.Device, sched Scheduler) *Kernel {
 		byPage: make(map[*mmio.Page]*ChannelState),
 		Label:  dev.Name(),
 	}
-	k.onFaultFn = k.onFault
+	k.faults.Handle = k.onFault
 	sched.Start(k)
 	return k
 }
@@ -250,7 +252,7 @@ func (k *Kernel) createChannel(t *Task, ctx *gpu.Context, kind gpu.Kind) (*Chann
 	cs := &ChannelState{Ch: ch, Task: t, Active: true}
 	t.channels = append(t.channels, cs)
 	k.byPage[ch.Reg] = cs
-	ch.Reg.SetHandler(k.onFaultFn)
+	ch.Reg.SetHandler(&k.faults)
 	k.sched.ChannelActivated(cs)
 	return cs, nil
 }
@@ -268,21 +270,49 @@ func (k *Kernel) holdersCount() int {
 }
 
 // onFault is the page-fault handler: every store to an engaged channel
-// register lands here, in the faulting process's context.
-func (k *Kernel) onFault(p *sim.Proc, w mmio.Write) {
-	cs, ok := k.byPage[w.Page]
+// register lands here once its trap has elapsed. The fault then takes
+// the kernel's steps as continuations, at the event positions a
+// faulting process would have reached them: the buffer scan
+// (FaultScan), registration of sampling watchers, and the scheduler
+// wait — a Gate.Notify re-check loop on the task gate, the continuation
+// form of Proc.WaitFor — before the store is delivered.
+func (k *Kernel) onFault(f *mmio.Fault) {
+	cs, ok := k.byPage[f.Page]
 	if !ok {
+		f.Deliver()
 		return
 	}
 	k.TotalFaults++
 	cs.Faults++
+	f.State = cs
 	// Manipulation cost: scan the channel's buffers to locate the
 	// reference counter for this request and map it into kernel space.
-	p.Sleep(k.costs.FaultScan)
-	if cs.sampling {
-		k.watchStaged(cs)
+	if d := k.costs.FaultScan; d > 0 {
+		k.eng.After(d, f.Then(faultScanned))
+		return
 	}
-	k.sched.HandleFault(p, cs.Task, cs)
+	faultScanned(f)
+}
+
+// faultScanned is the step after the buffer scan. The kernel's steps
+// are plain functions of the fault (its channel state leads back to the
+// kernel), so no kernel binds a callback for them.
+func faultScanned(f *mmio.Fault) {
+	if cs := f.State.(*ChannelState); cs.sampling {
+		cs.Task.kernel.watchStaged(cs)
+	}
+	faultWait(f)
+}
+
+// faultWait holds the fault until its task may run (or has died, which
+// releases every wait on the task).
+func faultWait(f *mmio.Fault) {
+	t := f.State.(*ChannelState).Task
+	if !t.Alive || t.kernel.sched.MayRun(t) {
+		f.Deliver()
+		return
+	}
+	t.gate.Notify(f.Then(faultWait))
 }
 
 // Engage protects every channel of the task: subsequent submissions

@@ -16,7 +16,7 @@ type recordingSched struct {
 	admitted  []*Task
 	exited    []*Task
 	activated []*ChannelState
-	faults    int
+	faults    int            // MayRun calls: one per fault it lets through at once
 	blockers  map[*Task]bool // tasks whose faults should block
 }
 
@@ -28,11 +28,9 @@ func (r *recordingSched) ChannelActivated(cs *ChannelState) {
 	r.activated = append(r.activated, cs)
 	cs.Ch.Reg.SetPresent(!r.engageAll)
 }
-func (r *recordingSched) HandleFault(p *sim.Proc, t *Task, cs *ChannelState) {
+func (r *recordingSched) MayRun(t *Task) bool {
 	r.faults++
-	if r.blockers != nil && r.blockers[t] {
-		p.WaitFor(t.Gate(), func() bool { return !t.Alive || !r.blockers[t] })
-	}
+	return r.blockers == nil || !r.blockers[t]
 }
 
 func testKernel(t *testing.T, sched Scheduler) (*sim.Engine, *gpu.Device, *Kernel) {
@@ -459,6 +457,6 @@ func TestBlockedFaultDelaysSubmission(t *testing.T) {
 
 func TestMMIOWriteTypeVisible(t *testing.T) {
 	// Compile-time sanity: the kernel handler signature matches mmio.
-	var h mmio.FaultHandler = func(p *sim.Proc, w mmio.Write) {}
+	h := mmio.FaultHandler{Handle: func(f *mmio.Fault) { _, _ = f.Page, f.Value }}
 	_ = h
 }

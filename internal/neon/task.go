@@ -43,7 +43,7 @@ type Task struct {
 	retiredDone int64
 
 	// gate is broadcast whenever scheduler state affecting this task
-	// changes; blocked fault handlers re-check their predicates on it.
+	// changes; held faults re-ask the scheduler's MayRun on it.
 	gate *sim.Gate
 
 	// sample is the in-progress sampling run, if any.
@@ -69,8 +69,9 @@ func (t *Task) Go(name string, body func(p *sim.Proc)) *sim.Proc {
 	return p
 }
 
-// Gate returns the task's scheduler wait gate. Scheduler implementations
-// block faulting processes on it and broadcast it on state changes.
+// Gate returns the task's scheduler wait gate. The kernel holds the
+// task's faulting stores on it, and scheduler implementations broadcast
+// it whenever their MayRun answer for the task may have changed.
 func (t *Task) Gate() *sim.Gate { return t.gate }
 
 // ShareWeight returns the task's effective fair-share weight: Weight, or

@@ -7,8 +7,7 @@ package sim
 // (wake one), Broadcast (wake all), or Open/Close (level-triggered:
 // while open, waits pass immediately). Wakeups are delivered as events
 // at the current virtual time, so a waker never runs a waiter's code
-// inline — the one exception is Handoff, which exists precisely to run
-// a parked process inside the current event.
+// inline.
 type Gate struct {
 	engine  *Engine
 	name    string
@@ -80,32 +79,6 @@ func (g *Gate) Notify(fn func()) {
 		return
 	}
 	g.waiters = append(g.waiters, waiter{fn: fn})
-}
-
-// Handoff runs the longest-parked process on the gate inline, inside
-// the current event, and returns when that process blocks again (or
-// finishes). It is how a continuation machine falls back to its
-// slow-lane process without an event hop: the process executes at the
-// exact event position the machine had reached, so whatever it orders
-// by event position (a blocking acquire, an attach queue, a faulting
-// store) sees the same timeline a process-driven actor would have.
-// Continuation waiters are skipped and keep their place. Handoff must
-// be called from engine context — a process cannot run another inline
-// — and panics if no process is parked.
-func (g *Gate) Handoff() {
-	if g.engine.inProc > 0 {
-		panic("sim: Gate.Handoff from process context")
-	}
-	for i, w := range g.waiters {
-		if w.p != nil {
-			g.drop(i)
-			w.p.gate = nil
-			w.p.activate()
-			g.engine.rethrow()
-			return
-		}
-	}
-	panic("sim: Gate.Handoff on " + g.name + " with no parked process")
 }
 
 func (g *Gate) release(w waiter) {

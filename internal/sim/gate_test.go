@@ -76,76 +76,6 @@ func TestNotifyOnOpenGateRunsInline(t *testing.T) {
 	}
 }
 
-// TestHandoffRunsProcessInline: the parked process runs inside the
-// caller's event — before the caller's next statement — and Handoff
-// returns when it blocks again; its later wakeups are ordinary events.
-func TestHandoffRunsProcessInline(t *testing.T) {
-	e := NewEngine()
-	g := e.NewGate("lane")
-	var order []string
-	e.Spawn("lane", func(p *Proc) {
-		for {
-			p.Wait(g)
-			order = append(order, "lane@"+p.Now().String())
-			p.Sleep(3)
-			order = append(order, "lane-woke@"+p.Now().String())
-		}
-	})
-	e.RunFor(1)
-	before := e.Activations()
-	e.After(1, func() {
-		e.After(0, func() { order = append(order, "queued") })
-		order = append(order, "caller")
-		g.Handoff()
-		order = append(order, "caller-after")
-	})
-	e.RunFor(10)
-	want := []string{"caller", "lane@2ns", "caller-after", "queued", "lane-woke@5ns"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("order %v, want %v", order, want)
-	}
-	if got := e.Activations() - before; got != 2 {
-		t.Fatalf("%d activations for one handoff and one sleep, want 2", got)
-	}
-	if g.Waiters() != 1 {
-		t.Fatalf("lane not parked again after its run: %d waiters", g.Waiters())
-	}
-}
-
-// TestHandoffSkipsContinuations: Handoff wakes the first parked
-// process; continuation waiters ahead of it keep their place.
-func TestHandoffSkipsContinuations(t *testing.T) {
-	e := NewEngine()
-	g := e.NewGate("g")
-	g.Notify(func() { t.Error("continuation released by Handoff") })
-	ran := false
-	e.Spawn("lane", func(p *Proc) {
-		p.Wait(g)
-		ran = true
-	})
-	e.RunFor(1)
-	e.After(0, g.Handoff)
-	e.RunFor(1)
-	if !ran || g.Waiters() != 1 {
-		t.Fatalf("ran=%v waiters=%d, want the process run and the continuation left", ran, g.Waiters())
-	}
-}
-
-// TestHandoffPanicsInProcessContext: a process cannot run another one
-// inline; only engine context may hand off.
-func TestHandoffPanicsInProcessContext(t *testing.T) {
-	e := NewEngine()
-	g := e.NewGate("g")
-	e.Spawn("lane", func(p *Proc) { p.Wait(g) })
-	e.Spawn("caller", func(p *Proc) { g.Handoff() })
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("Handoff from process context did not panic")
-		}
-	}()
-	e.Run()
-}
-
 // TestActivationsCountsHandoffs: every goroutine handoff into a process
 // body counts once — first run, wakeups, and the kill unwind — and
 // Reset clears the counter.

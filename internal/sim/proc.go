@@ -194,8 +194,7 @@ func (p *Proc) Park() {
 }
 
 // Resume runs a process parked in Park inline, inside the current
-// event, and returns when it blocks again (or finishes) — the targeted
-// form of Gate.Handoff. A killed process is left to the activation Kill
+// event, and returns when it blocks again (or finishes). A killed process is left to the activation Kill
 // scheduled, so a machine finishing after its caller died resumes
 // nothing. Resume must be called from engine context and panics if the
 // process is live but not parked.

@@ -52,7 +52,7 @@ func TestBatchDrainOneDoorbellPerBacklog(t *testing.T) {
 			srv.Fleet().PlaceRequest(st.ft)
 			d.queue = append(d.queue, item{arrival: eng.Now()})
 		}
-		eng.Spawn("dispatch", d.run)
+		eng.After(0, d.open)
 		eng.RunFor(10 * time.Millisecond)
 		if err := srv.SetupError(); err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func benchDispatcherDrain(b *testing.B, batch bool) {
 	st := srv.streams[0]
 	d := newDispatcher(srv, st, node)
 	st.disp[node] = d
-	eng.Spawn("dispatch", d.run)
+	eng.After(0, d.open)
 	eng.RunFor(time.Millisecond)
 	fill := func() {
 		for j := 0; j < backlog; j++ {
@@ -256,7 +256,7 @@ func TestColdRebuildNotCountedWhenTaskDies(t *testing.T) {
 	st.disp[node] = d
 	srv.Fleet().PlaceRequest(st.ft)
 	d.queue = append(d.queue, item{arrival: eng.Now(), cold: true})
-	eng.Spawn("dispatch", d.run)
+	eng.After(0, d.open)
 	eng.RunFor(time.Millisecond)
 
 	task := st.ft.Task(node)
@@ -274,5 +274,67 @@ func TestColdRebuildNotCountedWhenTaskDies(t *testing.T) {
 	}
 	if depth := srv.Fleet().QueueDepth(); depth != 0 {
 		t.Errorf("fleet queue depth %d after abort, want 0", depth)
+	}
+}
+
+// TestDispatcherFaultKilledAtEachStep kills a tenant's task while its
+// dispatcher's engaged store is in each step of the fault machine —
+// the trap, the kernel's buffer scan, and the scheduler's hold (a
+// timeslice device whose token another tenant holds). The dispatcher is
+// an engine caller, so its fault runs on to delivery at the dead
+// channel; what must hold is exactly-once accounting: the request is
+// aborted once and never completed, the fleet's queue depth drains to
+// zero, and the drain comes to rest with nothing in flight.
+func TestDispatcherFaultKilledAtEachStep(t *testing.T) {
+	for _, step := range []string{"trap", "scan", "wait"} {
+		eng := sim.NewEngine()
+		srv, err := New(eng, Config{
+			Fleet: fleet.Config{Devices: 1, Sched: "timeslice", Seed: 1},
+			Streams: []Stream{
+				// Rate 0 never fires: the victim's queue is fed by hand.
+				{Tenant: workload.OpenLoopTenant("hog", us, 0), Arrival: Deterministic{Rate: 0}},
+				{Tenant: workload.OpenLoopTenant("victim", 100*us, 0), Arrival: Deterministic{Rate: 0}},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := srv.Fleet().Nodes()[0]
+		var ds []*dispatcher
+		for _, st := range srv.streams {
+			// The hog opens first, so it holds the first 30 ms slice.
+			d := newDispatcher(srv, st, node)
+			st.disp[node] = d
+			eng.After(0, d.open)
+			ds = append(ds, d)
+		}
+		eng.RunFor(time.Millisecond)
+		st, d := srv.streams[1], ds[1]
+		task := st.ft.Task(node)
+		if task == nil || len(task.Channels()) != 1 || task.Channels()[0].Ch.Reg.Present() {
+			t.Fatalf("%s: victim not set up with one engaged channel", step)
+		}
+		cs := task.Channels()[0]
+		srv.Fleet().PlaceRequest(st.ft)
+		d.queue = append(d.queue, item{arrival: eng.Now()})
+		d.wake()
+		for !(step == "trap" && cs.Ch.Reg.Faults == 1 ||
+			step == "scan" && cs.Faults == 1 ||
+			step == "wait" && task.Gate().Waiters() > 0) {
+			if !eng.Step() {
+				t.Fatalf("%s: engine drained before the fault reached the step", step)
+			}
+		}
+		node.Kernel.KillTask(task, "test: die mid-fault")
+		eng.RunFor(time.Millisecond)
+		if st.stats.Aborted != 1 || st.stats.Completed != 0 {
+			t.Errorf("%s: aborted %d, completed %d; want the request aborted once", step, st.stats.Aborted, st.stats.Completed)
+		}
+		if depth := srv.Fleet().QueueDepth(); depth != 0 {
+			t.Errorf("%s: fleet queue depth %d after the kill, want 0", step, depth)
+		}
+		if d.r != nil || !d.idle {
+			t.Errorf("%s: drain not at rest (request in flight %v, idle %v)", step, d.r != nil, d.idle)
+		}
 	}
 }

@@ -275,7 +275,7 @@ func (s *Server) arrive(st *stream) {
 	if d == nil {
 		d = newDispatcher(s, st, n)
 		st.disp[n] = d
-		s.eng.Spawn("dispatch/"+st.spec.Tenant.Name, d.run)
+		s.eng.After(0, d.open)
 	}
 	if d.err != nil {
 		// The tenant's client on this node failed to set up; nothing will
@@ -303,9 +303,12 @@ type item struct {
 // schedulers delay tenants), but completion is never waited for — the
 // channel FIFO and the completion hook carry the rest.
 //
-// The drain is an engine-context continuation machine (DESIGN.md §14)
-// with a process kept only as its slow lane. Each submission acquires
-// the client's virtual context through the mux's attach machine
+// The dispatcher is an engine-context continuation machine (DESIGN.md
+// §14) with no process. It opens the tenant's client on the node as a
+// continuation, one event after the placement that created it (where
+// a spawned process would first have run), its eager attach on the
+// mux's attach machine. Each submission then acquires the client's
+// virtual context through the attach machine
 // (neon.VContext.AcquireAsync): at once when the context is attached,
 // otherwise after the attach, and either way at the event position a
 // blocking Acquire would have had. The drain then stages the request
@@ -313,14 +316,13 @@ type item struct {
 // drain continues DirectWrite later, holding the context's pin until
 // that continuation, exactly as a blocking store holds its Acquire
 // across the write (pin-until-delivery), so the mux sees the same
-// evictable set at every instant. An engaged register hands the
-// staged, pinned request to the slow-lane process for the committed
-// faulting store. The slow lane runs inline in the same event
-// (Gate.Handoff), so the mux LRU clock, attach queue order, and fault
-// observation are the blocking timeline's by construction (inline
-// handoff). The wake is edge-triggered (only the idle-to-backlogged
-// transition schedules the drain), and Config.BatchDrain turns a
-// drained backlog into one staged batch with a single doorbell.
+// evictable set at every instant. An engaged register commits the
+// staged, pinned request to the fault machine
+// (mmio.Page.StoreFaultingAsync) at the instant it was refused, and
+// the drain goes on, unpinning, where the faulting store is delivered.
+// The wake is edge-triggered (only the idle-to-backlogged transition
+// schedules the drain), and Config.BatchDrain turns a drained backlog
+// into one staged batch with a single doorbell.
 type dispatcher struct {
 	srv    *Server
 	st     *stream
@@ -330,12 +332,11 @@ type dispatcher struct {
 	client *userlib.Client
 	ready  bool // client setup finished; wakes may schedule the drain
 	idle   bool // drain stopped on an empty queue
-	gate   *sim.Gate
 
 	// The request in flight: cur is the item being submitted, step what
 	// the drain owes it next, and r its staged request, whose acquire
-	// pins the context until its doorbell lands or, handed to the slow
-	// lane, its faulting store completes.
+	// pins the context until its doorbell lands or its faulting store
+	// is delivered.
 	cur  item
 	step drainStep
 	r    *gpu.Request
@@ -344,11 +345,13 @@ type dispatcher struct {
 	// The callbacks, bound once so the hot path allocates nothing:
 	// doneFn is the completion hook every request of this (stream,
 	// node) pair shares; wakeFn restarts an idle drain; landedFn is the
-	// continuation after a doorbell's DirectWrite; acquireFn receives
-	// the attach machine's channel.
+	// continuation after a doorbell's DirectWrite and faultedFn after a
+	// faulting store's delivery; acquireFn receives the attach
+	// machine's channel.
 	doneFn    func(*gpu.Request)
 	wakeFn    func()
 	landedFn  func()
+	faultedFn func()
 	acquireFn func(*gpu.Channel, error)
 }
 
@@ -362,12 +365,11 @@ const (
 )
 
 func newDispatcher(s *Server, st *stream, n *fleet.Node) *dispatcher {
-	d := &dispatcher{srv: s, st: st, node: n,
-		gate: s.eng.NewGate("dispatch-" + st.spec.Tenant.Name),
-		dw:   n.Kernel.Costs().DirectWrite}
+	d := &dispatcher{srv: s, st: st, node: n, dw: n.Kernel.Costs().DirectWrite}
 	d.doneFn = d.onDone
-	d.wakeFn = func() { d.drain(nil) }
+	d.wakeFn = d.drain
 	d.landedFn = d.landed
+	d.faultedFn = d.faulted
 	d.acquireFn = d.onAcquired
 	return d
 }
@@ -382,33 +384,32 @@ func (d *dispatcher) wake() {
 	}
 }
 
-// run is the slow-lane process: it opens the tenant's client on the
-// node (anything queued during setup is drained right after), then
-// parks until the machine hands it a staged request whose store must
-// fault, and drains on from there.
-func (d *dispatcher) run(p *sim.Proc) {
-	client, err := d.st.ft.Client(p, d.node)
+// open opens the tenant's client on the node; anything queued during
+// setup is drained as soon as it is ready.
+func (d *dispatcher) open() {
+	if c, now, err := d.st.ft.ClientAsync(d.node, d.opened); now {
+		d.opened(c, err)
+	}
+}
+
+// opened receives the client (or its setup failure) and starts the
+// drain.
+func (d *dispatcher) opened(c *userlib.Client, err error) {
 	if err != nil {
 		d.err = err
 		d.drainFailed()
 		return
 	}
-	d.client = client
+	d.client = c
 	d.ready = true
-	for {
-		d.drain(p)
-		p.Wait(d.gate)
-		d.fault(p)
-	}
+	d.drain()
 }
 
 // drain advances the queue until the dispatcher must wait: for an
 // arrival (idle), for an attach to finish (onAcquired resumes), for a
-// fast-path doorbell to land (landed resumes), or for a faulting store.
-// p is the slow-lane process when the drain runs on it and nil in
-// engine context, where a faulting store hands the drain to the
-// process inline and returns once the process blocks.
-func (d *dispatcher) drain(p *sim.Proc) {
+// fast-path doorbell to land (landed resumes), or for a faulting store
+// to be delivered (faulted resumes).
+func (d *dispatcher) drain() {
 	for {
 		if d.step == stepNext {
 			if len(d.queue) == 0 {
@@ -439,7 +440,7 @@ func (d *dispatcher) drain(p *sim.Proc) {
 		if !now {
 			return // attaching: onAcquired drains on
 		}
-		if !d.submitOn(p, ch) {
+		if !d.submitOn(ch) {
 			return
 		}
 	}
@@ -448,8 +449,8 @@ func (d *dispatcher) drain(p *sim.Proc) {
 // onAcquired is the attach machine's continuation: the channel the
 // current item goes to, pinned, or nil when the task died first.
 func (d *dispatcher) onAcquired(ch *gpu.Channel, _ error) {
-	if d.submitOn(nil, ch) {
-		d.drain(nil)
+	if d.submitOn(ch) {
+		d.drain()
 	}
 }
 
@@ -463,12 +464,12 @@ func (d *dispatcher) size() sim.Duration {
 }
 
 // submitOn submits the current item on the acquired channel ch (nil:
-// the task died first), on the lane p (nil: engine context), and
-// reports whether the drain may go on at once. A present register
-// takes the async doorbell, the pin held until it lands
-// (pin-until-delivery); an engaged one commits the staged request to
-// the faulting store on the slow lane.
-func (d *dispatcher) submitOn(p *sim.Proc, ch *gpu.Channel) bool {
+// the task died first) and reports whether the drain may go on at
+// once. A present register takes the async doorbell, the pin held
+// until it lands (pin-until-delivery); an engaged one commits the
+// staged request to the fault machine, the pin held until the store is
+// delivered.
+func (d *dispatcher) submitOn(ch *gpu.Channel) bool {
 	if ch == nil {
 		d.submitted(nil)
 		return true
@@ -478,21 +479,25 @@ func (d *dispatcher) submitOn(p *sim.Proc, ch *gpu.Channel) bool {
 		d.srv.eng.After(d.dw, d.landedFn)
 		return false
 	}
-	if p == nil {
-		d.gate.Handoff()
+	if !ch.Reg.StoreFaultingAsync(d.srv.eng, d.r.Ref, d.faultedFn) {
 		return false
 	}
-	d.fault(p)
+	d.faultDone()
 	return true
 }
 
-// fault is the slow lane's committed faulting store of the staged
-// request: trap, kernel handler (which may hold p arbitrarily), then
-// the single-stepped doorbell; the pin is released after it.
-func (d *dispatcher) fault(p *sim.Proc) {
+// faulted is the fault machine's continuation: the faulting store was
+// delivered.
+func (d *dispatcher) faulted() {
+	d.faultDone()
+	d.drain()
+}
+
+// faultDone unpins the context after a faulting store's delivery and
+// accounts the submission.
+func (d *dispatcher) faultDone() {
 	r := d.r
 	d.r = nil
-	r.Channel().Reg.StoreFaulting(p, r.Ref)
 	d.client.VC.Release()
 	d.submitted(r)
 }
@@ -505,7 +510,7 @@ func (d *dispatcher) landed() {
 	r := d.r
 	d.r = nil
 	d.submitted(r)
-	d.drain(nil)
+	d.drain()
 }
 
 // submitted accounts one finished submission of the current item; r is

@@ -80,12 +80,35 @@ func OpenVirtual(p *sim.Proc, k *neon.Kernel, t *neon.Task, label string, kinds 
 	if err != nil {
 		return nil, err
 	}
+	return virtualClient(k, vc, kinds), nil
+}
+
+// OpenVirtualAsync is the engine-context form of OpenVirtual, over
+// neon.Kernel.OpenVirtualAsync: an open that finishes at once returns
+// the client with now set and never calls fn; otherwise fn receives
+// the client (or the error) in the event where the eager attach
+// finishes.
+func OpenVirtualAsync(k *neon.Kernel, t *neon.Task, label string, kinds []gpu.Kind, fn func(*Client, error)) (c *Client, now bool, err error) {
+	vc, now, err := k.OpenVirtualAsync(t, label, kinds, func(vc *neon.VContext, err error) {
+		if err != nil {
+			fn(nil, err)
+			return
+		}
+		fn(virtualClient(k, vc, kinds), nil)
+	})
+	if !now || err != nil {
+		return nil, now, err
+	}
+	return virtualClient(k, vc, kinds), true, nil
+}
+
+func virtualClient(k *neon.Kernel, vc *neon.VContext, kinds []gpu.Kind) *Client {
 	return &Client{
-		Task:   t,
+		Task:   vc.Task(),
 		VC:     vc,
 		kernel: k,
 		order:  append([]gpu.Kind(nil), kinds...),
-	}, nil
+	}
 }
 
 // Channel returns the client's channel of the given kind, or nil. For a
