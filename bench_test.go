@@ -132,9 +132,10 @@ func BenchmarkRequestPath(b *testing.B) {
 			return
 		}
 		for {
-			r := client.SubmitSync(p, gpu.Compute, 10*time.Microsecond)
+			r, _, _ := client.Submit(gpu.Compute, 10*time.Microsecond, nil, nil)
+			p.Wait(r.DoneGate())
 			done++
-			// The request is fully retired (sync submit waits out the
+			// The request is fully retired (the process waited out the
 			// completion); recycle it so the steady state does not allocate.
 			r.Release()
 		}
@@ -172,9 +173,9 @@ func BenchmarkRequestPathAsync(b *testing.B) {
 		again = func(r *gpu.Request) {
 			done++
 			r.Release()
-			client.SubmitAsync(eng, gpu.Compute, 10*time.Microsecond, again)
+			client.Submit(gpu.Compute, 10*time.Microsecond, again, nil)
 		}
-		client.SubmitAsync(eng, gpu.Compute, 10*time.Microsecond, again)
+		client.Submit(gpu.Compute, 10*time.Microsecond, again, nil)
 	})
 	// Settle setup (task, client, first staged request) and fill the
 	// request pool so the timed region is the steady state.
@@ -210,7 +211,8 @@ func benchClosedLoop(b *testing.B, async bool) {
 			}
 			if !async {
 				for {
-					r := client.SubmitSync(p, gpu.Compute, 10*time.Microsecond)
+					r, _, _ := client.Submit(gpu.Compute, 10*time.Microsecond, nil, nil)
+					p.Wait(r.DoneGate())
 					done++
 					r.Release()
 				}
@@ -219,9 +221,9 @@ func benchClosedLoop(b *testing.B, async bool) {
 			again = func(r *gpu.Request) {
 				done++
 				r.Release()
-				client.SubmitAsync(eng, gpu.Compute, 10*time.Microsecond, again)
+				client.Submit(gpu.Compute, 10*time.Microsecond, again, nil)
 			}
-			client.SubmitAsync(eng, gpu.Compute, 10*time.Microsecond, again)
+			client.Submit(gpu.Compute, 10*time.Microsecond, again, nil)
 		})
 	}
 	eng.RunFor(time.Millisecond)

@@ -115,144 +115,99 @@ func TestExperimentsDocCoversRegistry(t *testing.T) {
 	}
 }
 
-// TestDesignDocCoversEngineInternals pins DESIGN.md §11's anchor
-// terms: the queue seam, pool APIs, and differential tests it
-// documents must keep their names, or the section silently rots.
-func TestDesignDocCoversEngineInternals(t *testing.T) {
+// TestDesignDocCovers pins each DESIGN.md section's anchor terms: the
+// APIs, rules, and every test and benchmark a section cites as evidence
+// must keep their names, or the section silently rots.
+func TestDesignDocCovers(t *testing.T) {
 	data, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := string(data)
-	for _, want := range []string{
-		"## 11.", "NextAfterNow", "LegacyHeapQueue", "NewEngineWithQueue",
-		"DefaultEventQueue", "TestDifferentialEventStorm",
-		"TestDifferentialQueueTables", "TestPropertyTimerStopRecycledGeneration",
-		"Request.Release", "Request.Pin",
+	for _, sec := range []struct {
+		name    string
+		anchors []string
+	}{
+		// §11: the queue seam, pool APIs, and differential tests.
+		{"EngineInternals", []string{
+			"## 11.", "NextAfterNow", "LegacyHeapQueue", "NewEngineWithQueue",
+			"DefaultEventQueue", "TestDifferentialEventStorm",
+			"TestDifferentialQueueTables", "TestPropertyTimerStopRecycledGeneration",
+			"Request.Release", "Request.Pin",
+		}},
+		// §12: the ledger seam and the index/board types.
+		{"ScaleIndex", []string{
+			"## 12.", "core.FlowIndex", "core.FlowID", "core.DefaultDFQLedger",
+			"LinearLedger", "NewDisengagedFairQueueingWithLedger",
+			"fleet.NewBoardWith", "fleet.Config.BoardEpoch",
+			"TestDifferentialDFQIndex", "TestDifferentialLedgerTables",
+			"FuzzDFQIndexOps", "TestFlowIndexStaleHandles",
+			"TestBoardShardCountInvariance", "TestBoardEpochLeadBound",
+			"TestBoardShardUnderflowPanic", "BenchmarkDFQCycleTenants",
+			"neon.Task.Sched", "neon.Kernel.AppendTasks", "DrainResult.DrainedAt",
+			"BenchmarkDFQEpisodeTenants1e4", "TestDrainAllocatesNothingAt1e4Tasks",
+		}},
+		// §13: the virtual-context table, the attach machine, and the
+		// board batch types.
+		{"Mux", []string{
+			"## 13.", "neon.VContext", "Kernel.OpenVirtual", "MuxStats",
+			"gpu.Device.ReleaseContext", "gpu.Device.CompletionObserver",
+			"ContextSwitch", "ErrNoContexts",
+			"core.EpisodeEntry", "Board.ReconcileEpisodeBatch",
+			"TestMuxHostsStormPastContextCap", "TestMuxKillMidBacklogRecyclesSlot",
+			"TestMuxTightPoolStorm", "TestBoardEagerClampDifferential",
+			"BenchmarkBoardReconcile", "RunScaleFullCell",
+			"VContext.AcquireAsync", "sim.Proc.Park", "sim.Proc.Resume",
+			"inline-resume rule", "TestAttachKilledAtEachStepAsync",
+			"TestAttachKilledAtEachStepBlocking",
+			"TestBlockingReattachAllocatesOnlyTheRebuild",
+			"Kernel.OpenVirtualAsync",
+		}},
+		// §14: the one submission path, its slow-path rules, the fault
+		// machine, and the batch staging surface.
+		{"Submission", []string{
+			"## 14.", "userlib.Client.Submit", "gpu.Request.OnDone",
+			"mmio.StoreAsync", "gpu.Request.DoneGate", "committed-fault rule",
+			"mmio.Page.StoreFaulting", "peek rule",
+			"neon.VContext.Peek", "userlib.BeginBatch", "Batch.Flush",
+			"traffic.Config.BatchDrain", "StreamStats.Flushes",
+			"TestSubmitAsyncRefusesEngagedChannel",
+			"TestSubmitAsyncRefusesTrapPerRequest",
+			"TestSubmitCommitsFaultAtRefusal",
+			"TestBatchDrainOneDoorbellPerBacklog",
+			"TestBatchDrainUnderDFQEngagement", "TestBatchDrainStampsSojourns",
+			"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
+			"BenchmarkDispatcherDrainBatched",
+			"sim.Gate.Notify", "pin-until-delivery rule",
+			"sim.Engine.Activations", "TestNotifyJoinsProcessFIFO",
+			"TestServeRunsOnContinuations", "TestStormRunsOnContinuations",
+			"mmio.Page.StoreFaultingAsync", "neon.Scheduler.MayRun",
+			"mmio.FaultHandler", "TestFaultMachineTimeline",
+			"TestFaultKilledAtEachStepEngine", "TestFaultKilledAtEachStepBlocking",
+			"TestDispatcherFaultKilledAtEachStep", "BenchmarkEngagedFault",
+			"fleet.Tenant.ClientAsync",
+			"userlib.OpenAsync", "fleet.Fleet.Launch", "TestSubmitAttachesDetachedContext",
+			"TestSubmitFaultReturnsInline", "TestClosedRunsOnContinuations",
+			"TestAppKilledAtEachSlowStep", "TestTenantKilledAtEachSlowStep",
+		}},
+		// §15: the policy types and the allocator's enforcement seams.
+		{"Policy", []string{
+			"## 15.", "policy.Policy", "policy.Snapshot", "policy.Targets",
+			"policy.Static", "policy.MaxMin", "policy.Hierarchical",
+			"policy.CostMin", "policy.ClassPreference", "policy.TierBounds",
+			"policy.DefaultPrices", "fleet.Config.AllocPolicy",
+			"fleet.DefaultAllocEvery", "Tenant.EffectiveWeight",
+			"fleet.OnTargets", "workload.TenantSpec.Validate",
+			"core.LeadBound", "TestReweightingPreservesLeadBound",
+			"TestAllocatorStaticIsInert", "TestStaticPolicyTiersByteIdentical",
+		}},
 	} {
-		if !strings.Contains(doc, want) {
-			t.Errorf("DESIGN.md does not mention %s", want)
-		}
-	}
-}
-
-// TestDesignDocCoversScaleIndex pins DESIGN.md §12's anchor terms: the
-// ledger seam, the index/board types, and every test the section cites
-// as evidence must keep their names.
-func TestDesignDocCoversScaleIndex(t *testing.T) {
-	data, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := string(data)
-	for _, want := range []string{
-		"## 12.", "core.FlowIndex", "core.FlowID", "core.DefaultDFQLedger",
-		"LinearLedger", "NewDisengagedFairQueueingWithLedger",
-		"fleet.NewBoardWith", "fleet.Config.BoardEpoch",
-		"TestDifferentialDFQIndex", "TestDifferentialLedgerTables",
-		"FuzzDFQIndexOps", "TestFlowIndexStaleHandles",
-		"TestBoardShardCountInvariance", "TestBoardEpochLeadBound",
-		"TestBoardShardUnderflowPanic", "BenchmarkDFQCycleTenants",
-		"neon.Task.Sched", "neon.Kernel.AppendTasks", "DrainResult.DrainedAt",
-		"BenchmarkDFQEpisodeTenants1e4", "TestDrainAllocatesNothingAt1e4Tasks",
-	} {
-		if !strings.Contains(doc, want) {
-			t.Errorf("DESIGN.md does not mention %s", want)
-		}
-	}
-}
-
-// TestDesignDocCoversSubmission pins DESIGN.md §14's anchor terms: the
-// continuation API, the fault machine, the slow-path commitment rules
-// (committed fault, side-effect-free peek, pin until delivery), the
-// batch staging surface, and every test and benchmark the section
-// cites as evidence must keep their names.
-func TestDesignDocCoversSubmission(t *testing.T) {
-	data, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := string(data)
-	for _, want := range []string{
-		"## 14.", "userlib.SubmitAsync", "gpu.Request.OnDone",
-		"mmio.StoreAsync", "SubmitSync", "SubmitEngaged",
-		"mmio.Page.StoreFaulting", "userlib.Client.Engaged",
-		"neon.VContext.Peek", "userlib.BeginBatch", "Batch.Flush",
-		"traffic.Config.BatchDrain", "StreamStats.Flushes",
-		"TestSubmitAsyncRefusesEngagedChannel",
-		"TestSubmitAsyncRefusesTrapPerRequest",
-		"TestSubmitEngagedCommitsFault",
-		"TestBatchDrainOneDoorbellPerBacklog",
-		"TestBatchDrainUnderDFQEngagement", "TestBatchDrainStampsSojourns",
-		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
-		"BenchmarkDispatcherDrainBatched",
-		"sim.Gate.Notify", "pin-until-delivery rule",
-		"sim.Engine.Activations", "TestNotifyJoinsProcessFIFO",
-		"TestServeRunsOnContinuations", "TestStormRunsOnContinuations",
-		"mmio.Page.StoreFaultingAsync", "neon.Scheduler.MayRun",
-		"mmio.FaultHandler", "TestFaultMachineTimeline",
-		"TestFaultKilledAtEachStepEngine", "TestFaultKilledAtEachStepBlocking",
-		"TestDispatcherFaultKilledAtEachStep", "BenchmarkEngagedFault",
-		"fleet.Tenant.ClientAsync",
-	} {
-		if !strings.Contains(doc, want) {
-			t.Errorf("DESIGN.md does not mention %s", want)
-		}
-	}
-}
-
-// TestDesignDocCoversMux pins DESIGN.md §13's anchor terms: the
-// virtual-context table's API surface, the graceful-detach seam, the
-// board batch types, and every test the section cites as evidence must
-// keep their names.
-func TestDesignDocCoversMux(t *testing.T) {
-	data, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := string(data)
-	for _, want := range []string{
-		"## 13.", "neon.VContext", "Kernel.OpenVirtual", "MuxStats",
-		"gpu.Device.ReleaseContext", "gpu.Device.CompletionObserver",
-		"ContextSwitch", "ErrNoContexts",
-		"core.EpisodeEntry", "Board.ReconcileEpisodeBatch",
-		"TestMuxHostsStormPastContextCap", "TestMuxKillMidBacklogRecyclesSlot",
-		"TestMuxTightPoolStorm", "TestBoardEagerClampDifferential",
-		"BenchmarkBoardReconcile", "RunScaleFullCell",
-		"VContext.AcquireAsync", "sim.Proc.Park", "sim.Proc.Resume",
-		"inline-resume rule", "TestAttachKilledAtEachStepAsync",
-		"TestAttachKilledAtEachStepBlocking",
-		"TestBlockingReattachAllocatesOnlyTheRebuild",
-		"Kernel.OpenVirtualAsync",
-	} {
-		if !strings.Contains(doc, want) {
-			t.Errorf("DESIGN.md does not mention %s", want)
-		}
-	}
-}
-
-// TestDesignDocCoversPolicy pins DESIGN.md §15's anchor terms: the
-// policy types, the enforcement seams of the round-based allocator,
-// and every test the section cites as evidence must keep their names,
-// or the policy/mechanism chapter silently rots.
-func TestDesignDocCoversPolicy(t *testing.T) {
-	data, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := string(data)
-	for _, want := range []string{
-		"## 15.", "policy.Policy", "policy.Snapshot", "policy.Targets",
-		"policy.Static", "policy.MaxMin", "policy.Hierarchical",
-		"policy.CostMin", "policy.ClassPreference", "policy.TierBounds",
-		"policy.DefaultPrices", "fleet.Config.AllocPolicy",
-		"fleet.DefaultAllocEvery", "Tenant.EffectiveWeight",
-		"fleet.OnTargets", "workload.TenantSpec.Validate",
-		"core.LeadBound", "TestReweightingPreservesLeadBound",
-		"TestAllocatorStaticIsInert", "TestStaticPolicyTiersByteIdentical",
-	} {
-		if !strings.Contains(doc, want) {
-			t.Errorf("DESIGN.md does not mention %s", want)
-		}
+		t.Run(sec.name, func(t *testing.T) {
+			for _, want := range sec.anchors {
+				if !strings.Contains(doc, want) {
+					t.Errorf("DESIGN.md does not mention %s", want)
+				}
+			}
+		})
 	}
 }

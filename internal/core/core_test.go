@@ -46,7 +46,7 @@ func (h *harness) startWorker(name string, size sim.Duration) *worker {
 		}
 		w.client = client
 		for w.task.Alive {
-			client.SubmitSync(p, gpu.Compute, size)
+			submitSync(p, client, size)
 			w.done++
 		}
 	})
@@ -64,12 +64,20 @@ func (h *harness) startIntermittent(name string, size, off sim.Duration) *worker
 		}
 		w.client = client
 		for w.task.Alive {
-			client.SubmitSync(p, gpu.Compute, size)
+			submitSync(p, client, size)
 			w.done++
 			p.Sleep(off)
 		}
 	})
 	return w
+}
+
+// submitSync submits one compute request from process p and parks p
+// until it completes: an OpenCL-style blocking round trip.
+func submitSync(p *sim.Proc, c *userlib.Client, size sim.Duration) {
+	if r, _, err := c.Submit(gpu.Compute, size, nil, nil); err == nil {
+		p.Wait(r.DoneGate())
+	}
 }
 
 func busyShare(a, b *neon.Task) (float64, float64) {

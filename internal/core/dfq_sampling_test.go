@@ -23,10 +23,16 @@ func TestDFQMultiChannelSampleTarget(t *testing.T) {
 		if err != nil {
 			return
 		}
+		// Each frame submits one request per channel without waiting,
+		// then fences on both.
 		for multi.Alive {
-			client.Submit(p, gpu.Compute, 5*time.Microsecond)
-			client.Submit(p, gpu.Graphics, 5*time.Microsecond)
-			client.Fence(p)
+			rc, _, errC := client.Submit(gpu.Compute, 5*time.Microsecond, nil, nil)
+			rg, _, errG := client.Submit(gpu.Graphics, 5*time.Microsecond, nil, nil)
+			if errC != nil || errG != nil {
+				return
+			}
+			p.Wait(rc.DoneGate())
+			p.Wait(rg.DoneGate())
 		}
 	})
 	h.eng.RunFor(300 * time.Millisecond)

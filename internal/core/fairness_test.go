@@ -37,7 +37,7 @@ func TestDFQIdleTaskForfeitsCredit(t *testing.T) {
 		}
 		p.Sleep(400 * time.Millisecond)
 		for late.task.Alive {
-			client.SubmitSync(p, gpu.Compute, 200*time.Microsecond)
+			submitSync(p, client, 200*time.Microsecond)
 			late.done++
 		}
 	})
@@ -70,7 +70,7 @@ func TestOracleKillsInfiniteKernel(t *testing.T) {
 		if err != nil {
 			return
 		}
-		client.Submit(p, gpu.Compute, gpu.Forever)
+		client.Submit(gpu.Compute, gpu.Forever, nil, nil)
 	})
 	victim := h.startWorker("victim", 50*time.Microsecond)
 	h.eng.RunFor(200 * time.Millisecond)

@@ -54,7 +54,10 @@ func Sec3Throughput(opts Options) *report.Table {
 }
 
 // throughput measures completed requests/second for back-to-back
-// blocking requests of one size under the chosen submission stack.
+// submit-and-wait requests of one size under the chosen submission
+// stack. The client is a self-resubmitting continuation chain: each
+// completion submits the next request from engine context, and the
+// trap stacks pay their trap on Submit's slow path.
 func throughput(opts Options, size sim.Duration, trap, driverWork bool) float64 {
 	eng := sim.NewEngine()
 	cfg := gpu.DefaultConfig()
@@ -62,56 +65,29 @@ func throughput(opts Options, size sim.Duration, trap, driverWork bool) float64 
 	k := neon.NewKernel(dev, noScheduler{})
 	task := k.NewTask("throttle")
 	var done int64
-	task.Go("main", func(p *sim.Proc) {
-		client, err := userlib.Open(p, k, task, "throttle", gpu.Compute)
+	userlib.OpenAsync(k, task, "throttle", []gpu.Kind{gpu.Compute}, func(client *userlib.Client, err error) {
 		if err != nil {
 			return
 		}
 		client.TrapPerRequest = trap
 		client.TrapDriverWork = driverWork
-		if trap {
-			// Trap-per-request stacks refuse the async fast path on
-			// every submission, so the classic blocking loop — trap
-			// sleep, store, park on the done gate — is the honest model.
-			for task.Alive {
-				client.SubmitSync(p, gpu.Compute, size)
-				done++
-			}
-			return
-		}
-		// Direct access runs as a self-resubmitting continuation chain:
-		// each completion re-stages the next request from engine context,
-		// with zero goroutine handoffs per request.
-		eng := p.Engine()
-		slow := eng.NewGate("sec3-slow")
-		var submit func()
-		onDone := func(r *gpu.Request) {
-			if r.Aborted {
-				return
-			}
-			eng.After(0, func() {
-				r.Release()
-				done++
-				submit()
-			})
-		}
-		submit = func() {
-			if !task.Alive {
-				return
-			}
-			if _, ok := client.SubmitAsync(eng, gpu.Compute, size, onDone); !ok {
-				// Unreachable under noScheduler (pages stay present);
-				// hand to the blocking lane rather than stall silently.
-				slow.Signal()
-			}
-		}
-		submit()
-		for task.Alive {
-			p.Wait(slow)
-			client.SubmitSync(p, gpu.Compute, size)
+		var (
+			last   *gpu.Request
+			next   func()
+			onDone func(*gpu.Request)
+		)
+		next = func() {
+			last.Release()
 			done++
-			submit()
+			client.Submit(gpu.Compute, size, onDone, nil)
 		}
+		onDone = func(r *gpu.Request) {
+			if !r.Aborted {
+				last = r
+				eng.After(0, next)
+			}
+		}
+		client.Submit(gpu.Compute, size, onDone, nil)
 	})
 	eng.RunFor(opts.Measure)
 	return float64(done) / eng.Now().Seconds()

@@ -37,10 +37,9 @@ type Tenant struct {
 	allocWeight float64
 	hintClasses []float64
 
-	// Continuation-machine state (DESIGN.md §14), mirroring
-	// workload.App: phase/idx drive the round, pending/fencing the
-	// frame fence, awaiting the blocking request in flight, slowFault
-	// the committed fault handoff, and stopped halts the slow lane.
+	// Round-machine state (DESIGN.md §14), mirroring workload.App:
+	// phase/idx drive the round, pending/fencing the frame fence, and
+	// awaiting the submit-and-wait request whose completion resumes it.
 	eng        *sim.Engine
 	reqs       []workload.Req
 	coldKind   gpu.Kind
@@ -51,13 +50,13 @@ type Tenant struct {
 	pending    int
 	fencing    bool
 	awaiting   *gpu.Request
-	placed     bool
-	slowFault  bool
-	stopped    bool
 	retire     []*gpu.Request
 	roundStart sim.Time
-	slowGate   *sim.Gate
 	stepFn     func()
+	resumeFn   func()
+	openedFn   func(*userlib.Client, error)
+	firedFn    func(*gpu.Request)
+	waitedFn   func(*gpu.Request)
 	fireDone   func(*gpu.Request)
 	blockDone  func(*gpu.Request)
 
@@ -102,10 +101,35 @@ func (f *Fleet) NewTenant(spec workload.TenantSpec) *Tenant {
 	return t
 }
 
-// Launch starts a tenant's round loop on the fleet.
+// Launch starts a tenant's round loop on the fleet: its first step
+// runs one event later, in the current instant.
 func (f *Fleet) Launch(spec workload.TenantSpec) *Tenant {
 	t := f.NewTenant(spec)
-	f.eng.Spawn("tenant/"+spec.Name, t.run)
+	t.eng = f.eng
+	t.reqs = spec.Requests()
+	t.coldKind = spec.ChannelKinds()[0]
+	t.stepFn = t.step
+	t.resumeFn = t.resume
+	t.openedFn = t.opened
+	t.firedFn = func(r *gpu.Request) {
+		if r == nil {
+			t.pending--
+		}
+		t.step()
+	}
+	t.waitedFn = func(r *gpu.Request) {
+		if r == nil {
+			t.advance()
+			t.step()
+		}
+	}
+	t.fireDone = t.oneDone
+	t.blockDone = func(r *gpu.Request) {
+		t.awaiting = r
+		t.eng.After(0, t.resumeFn)
+	}
+	t.phase = tphPlace
+	f.eng.After(0, t.stepFn)
 	return t
 }
 
@@ -190,19 +214,8 @@ func (t *Tenant) ResetStats() {
 	t.PerDevice = make([]int64, len(t.fleet.nodes))
 }
 
-// Client lazily opens the tenant's context and channels on the node,
-// paying the setup syscalls on first touch.
-func (t *Tenant) Client(p *sim.Proc, n *Node) (*userlib.Client, error) {
-	if c, ok := t.clients[n]; ok {
-		return live(c)
-	}
-	task := t.newTask(n)
-	c, err := userlib.OpenVirtual(p, n.Kernel, task, t.Spec.Name, t.kinds()...)
-	return t.adopt(n, task, c, err)
-}
-
-// ClientAsync is the engine-context form of Client (the serving
-// layer's dispatchers open their clients with it): a client that is
+// ClientAsync lazily opens the tenant's context and channels on the
+// node, paying the setup syscalls on first touch: a client that is
 // ready at once — already open, or opened without waiting on an attach
 // step — is returned with now set and fn is never called; otherwise fn
 // receives the client (or the error) in the event where its eager
@@ -213,7 +226,7 @@ func (t *Tenant) ClientAsync(n *Node, fn func(*userlib.Client, error)) (*userlib
 		return c, true, err
 	}
 	task := t.newTask(n)
-	c, now, err := userlib.OpenVirtualAsync(n.Kernel, task, t.Spec.Name, t.kinds(), func(c *userlib.Client, err error) {
+	c, now, err := userlib.OpenVirtualAsync(n.Kernel, task, t.Spec.Name, t.Spec.ChannelKinds(), func(c *userlib.Client, err error) {
 		fn(t.adopt(n, task, c, err))
 	})
 	if !now {
@@ -224,7 +237,7 @@ func (t *Tenant) ClientAsync(n *Node, fn func(*userlib.Client, error)) (*userlib
 }
 
 // Task returns the tenant's kernel task on the node, nil before the
-// first Client call there.
+// first ClientAsync call there.
 func (t *Tenant) Task(n *Node) *neon.Task { return t.tasks[n] }
 
 // live returns an open client, unless its task was killed on the node:
@@ -244,14 +257,6 @@ func (t *Tenant) newTask(n *Node) *neon.Task {
 	return task
 }
 
-// kinds returns the channel kinds the tenant's clients open.
-func (t *Tenant) kinds() []gpu.Kind {
-	if kinds := t.Spec.Channels; len(kinds) > 0 {
-		return kinds
-	}
-	return []gpu.Kind{gpu.Compute}
-}
-
 // adopt records a client opened on a node (nothing, when the open
 // failed) and passes the open's result through. The client is a
 // logical (virtual-context) handle: the node's kernel multiplexes the
@@ -267,11 +272,9 @@ func (t *Tenant) adopt(n *Node, task *neon.Task, c *userlib.Client, err error) (
 }
 
 // Tenant round-machine phases, mirroring workload.App's machine: the
-// placed round loop runs as an engine-driven state machine on the async
-// submission path, and the tenant's process survives as the slow lane
-// for anything that must block — first-touch client setup, blocking
-// attach of a detached virtual context, and submissions committed to
-// the fault path at an engine-instant refusal (see userlib.Engaged).
+// placed round loop is an engine-driven state machine over
+// userlib.Client.Submit and fleet.Tenant.ClientAsync, so no step of it
+// runs a process.
 const (
 	tphPlace  = iota // round start: place, open client, cold rebuild
 	tphCold          // cold-rebuild request in flight
@@ -280,30 +283,6 @@ const (
 	tphFence         // waiting for pending to reach zero
 	tphOff           // off-period timer in flight
 )
-
-// run drives the tenant's placed round loop as a continuation machine.
-func (t *Tenant) run(p *sim.Proc) {
-	t.eng = p.Engine()
-	t.reqs = t.Spec.Requests()
-	t.coldKind = gpu.Compute
-	if kinds := t.Spec.Channels; len(kinds) > 0 {
-		t.coldKind = kinds[0]
-	}
-	t.slowGate = t.eng.NewGate("slow-tenant-" + t.Spec.Name)
-	t.stepFn = func() { t.step(nil) }
-	t.fireDone = func(r *gpu.Request) { t.oneDone(r) }
-	t.blockDone = func(*gpu.Request) { t.eng.After(0, t.stepFn) }
-
-	t.phase = tphPlace
-	t.step(p)
-	for !t.stopped {
-		p.Wait(t.slowGate)
-		if t.stopped {
-			return
-		}
-		t.step(p)
-	}
-}
 
 // oneDone is the completion continuation of fire-and-forget requests.
 func (t *Tenant) oneDone(r *gpu.Request) {
@@ -316,56 +295,59 @@ func (t *Tenant) oneDone(r *gpu.Request) {
 	}
 }
 
-// step advances the round machine; p == nil means engine context (must
-// not block — blocking work hands off to the slow lane), p != nil means
-// the slow-lane process.
-func (t *Tenant) step(p *sim.Proc) {
-	if r := t.awaiting; r != nil {
-		t.awaiting = nil
-		r.Release()
-		t.advance()
+// resume continues the machine after a submit-and-wait request's
+// completion, recycling the request.
+func (t *Tenant) resume() {
+	t.awaiting.Release()
+	t.awaiting = nil
+	t.advance()
+	t.step()
+}
+
+// opened continues the placement step with a client whose eager
+// attach had to wait.
+func (t *Tenant) opened(c *userlib.Client, err error) {
+	if t.placed(c, err) {
+		t.step()
 	}
+}
+
+// placed finishes the placement step with the node's client, or ends
+// the tenant on a setup failure (a dead handle included), and reports
+// whether the machine goes on. A cold round — placed away from the previous
+// device — first rebuilds the warm state: the reconstruction occupies
+// the destination engine, so migration costs the fleet real capacity.
+func (t *Tenant) placed(c *userlib.Client, err error) bool {
+	if err != nil {
+		t.setupErr = err
+		t.fleet.roundDone(t.node)
+		return false
+	}
+	t.client = c
+	cold := t.last != nil && t.last != t.node && t.Spec.WorkingSet > 0
+	t.last = t.node
+	t.phase = tphThink
+	if cold {
+		t.Migrations++
+		t.ColdTime += t.Spec.WorkingSet
+		t.phase = tphCold
+	}
+	return true
+}
+
+// step advances the round machine in engine context.
+func (t *Tenant) step() {
 	for {
 		switch t.phase {
 		case tphPlace:
-			// Place exactly once per round: a slow-lane handoff re-enters
-			// this phase, and the placement decision must not be redrawn
-			// (round-robin advances on every Place call).
-			if !t.placed {
-				t.roundStart = t.eng.Now()
-				t.node = t.fleet.Place(t)
-				t.placed = true
-			}
-			if p == nil {
-				if c, ok := t.clients[t.node]; !ok || !c.Task.Alive {
-					// First touch (setup syscalls) or a dead handle:
-					// both need the process.
-					t.toProc(t.coldKind, false)
-					return
-				}
-			}
-			client, err := t.Client(p, t.node)
-			if err != nil {
-				t.setupErr = err
-				t.fleet.roundDone(t.node)
-				t.stop()
+			t.roundStart = t.eng.Now()
+			t.node = t.fleet.Place(t)
+			c, now, err := t.ClientAsync(t.node, t.openedFn)
+			if !now || !t.placed(c, err) {
 				return
 			}
-			t.client = client
-			cold := t.last != nil && t.last != t.node && t.Spec.WorkingSet > 0
-			t.last = t.node
-			if !cold {
-				t.phase = tphThink
-				continue
-			}
-			// Cold round: rebuild the warm state before the round's own
-			// requests. The reconstruction occupies the destination
-			// engine, so migration costs the fleet real capacity.
-			t.Migrations++
-			t.ColdTime += t.Spec.WorkingSet
-			t.phase = tphCold
 		case tphCold:
-			if !t.submitBlocking(p, t.coldKind, t.Spec.WorkingSet) {
+			if !t.submitBlocking(t.coldKind, t.Spec.WorkingSet) {
 				return
 			}
 		case tphThink:
@@ -379,41 +361,17 @@ func (t *Tenant) step(p *sim.Proc) {
 				continue
 			}
 			rq := t.reqs[t.idx]
-			if rq.Trivial || t.Spec.Pipelined {
-				fault := t.slowFault
-				t.slowFault = false
-				if !fault {
-					if _, ok := t.client.SubmitAsync(t.eng, rq.Kind, rq.Size, t.fireDone); ok {
-						t.pending++
-						t.idx++
-						dw := t.node.Kernel.Costs().DirectWrite
-						if p == nil {
-							t.eng.After(dw, t.stepFn)
-							return
-						}
-						p.Sleep(dw)
-						continue
-					}
-					if p == nil {
-						t.toProc(rq.Kind, true)
-						return
-					}
+			if !rq.Trivial && !t.Spec.Pipelined {
+				if !t.submitBlocking(rq.Kind, rq.Size) {
+					return
 				}
-				if fault {
-					t.pending++
-					if t.client.SubmitEngaged(p, rq.Kind, rq.Size, t.fireDone) == nil {
-						t.pending--
-					}
-				} else if r := t.client.SubmitDetached(p, rq.Kind, rq.Size); r != nil {
-					t.pending++
-					if r.IsDone() {
-						t.fireDone(r)
-					} else {
-						r.OnDone = t.fireDone
-					}
-				}
-				t.idx++
-			} else if !t.submitBlocking(p, rq.Kind, rq.Size) {
+				continue
+			}
+			t.idx++
+			t.pending++
+			if _, now, err := t.client.Submit(rq.Kind, rq.Size, t.fireDone, t.firedFn); err != nil {
+				t.pending--
+			} else if !now {
 				return
 			}
 		case tphFence:
@@ -441,41 +399,22 @@ func (t *Tenant) step(p *sim.Proc) {
 }
 
 // submitBlocking issues one submit-and-wait request for the current
-// phase. It returns false when the machine must yield: the request is
-// in flight with a continuation, or the submission was handed to the
-// slow lane. On a nil (dead-handle) submission it advances as the old
-// blocking loop did — the next placement notices the dead task.
-func (t *Tenant) submitBlocking(p *sim.Proc, kind gpu.Kind, size sim.Duration) bool {
-	fault := t.slowFault
-	t.slowFault = false
-	if !fault {
-		if r, ok := t.client.SubmitAsync(t.eng, kind, size, t.blockDone); ok {
-			t.awaiting = r
-			return false
-		}
-		if p == nil {
-			t.toProc(kind, true)
-			return false
-		}
+// phase and reports whether the machine goes on at once; otherwise the
+// request's completion resumes it. A submission that stages nothing —
+// the task died on the node — advances, as a blocking submission
+// returning nil did: the round runs out, and the next placement there
+// finds the dead handle.
+func (t *Tenant) submitBlocking(kind gpu.Kind, size sim.Duration) bool {
+	if _, _, err := t.client.Submit(kind, size, t.blockDone, t.waitedFn); err != nil {
+		t.advance()
+		return true
 	}
-	var r *gpu.Request
-	if fault {
-		if r = t.client.SubmitEngaged(p, kind, size, nil); r != nil {
-			p.Wait(r.DoneGate())
-		}
-	} else {
-		r = t.client.SubmitSync(p, kind, size)
-	}
-	if r != nil {
-		r.Release()
-	}
-	t.advance()
-	return true
+	return false
 }
 
-// advance moves past the blocking submission that just completed: the
-// cold rebuild yields to the think phase, a round request to the next
-// request in the sequence.
+// advance moves past the submit-and-wait request that just finished:
+// the cold rebuild yields to the think phase, a round request to the
+// next request in the sequence.
 func (t *Tenant) advance() {
 	if t.phase == tphCold {
 		t.phase = tphThink
@@ -485,31 +424,12 @@ func (t *Tenant) advance() {
 }
 
 // endRound accounts the finished round; the step loop then re-enters
-// tphPlace in the same turn, exactly as the blocking loop began its
-// next round without yielding.
+// tphPlace in the same turn, as a blocking loop began its next round
+// without yielding.
 func (t *Tenant) endRound() {
 	now := t.eng.Now()
 	t.Rounds++
 	t.PerDevice[t.node.Index]++
 	t.RoundTime += now.Sub(t.roundStart)
 	t.phase = tphPlace
-	t.placed = false
-}
-
-// toProc hands the machine to the slow-lane process. When the handoff
-// is for a refused submission, the fault-or-direct decision is
-// committed here, at the refusal instant, because the scheduler may
-// flip the channel's engagement within the same instant (see
-// userlib.Engaged and workload.App.toProc).
-func (t *Tenant) toProc(kind gpu.Kind, submission bool) {
-	if submission {
-		t.slowFault = t.client.Engaged(kind)
-	}
-	t.slowGate.Signal()
-}
-
-// stop halts the machine and releases the slow-lane process.
-func (t *Tenant) stop() {
-	t.stopped = true
-	t.slowGate.Signal()
 }

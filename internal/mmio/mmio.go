@@ -232,8 +232,8 @@ func (f *Fault) release() {
 // process: the value reaches the sink after the same DirectWrite
 // propagation delay as Store, but as an engine event rather than a
 // process wakeup, saving the goroutine handoff. It reports false — and
-// does nothing — when the page is protected: faulting stores must run
-// the handler in process context, so the caller falls back to Store.
+// does nothing — when the page is protected: the store must take the
+// fault, which the caller does with StoreFaultingAsync (or Store).
 //
 // Only callers that do not act between the store and the next blocking
 // point may use it (the store's side effects become visible at

@@ -202,11 +202,19 @@ func shareTierBounds(s Snapshot, t Targets, maxDepth int) map[workload.Tier]int 
 // order.
 func Names() []string { return []string{"static", "maxmin", "hier", "cost"} }
 
+// Org weights a "hier:" spec may give: a bounded ratio between orgs
+// keeps every normalized DFQ weight finite (an org weighted 5e-324
+// against one weighted 1 needs a weight ratio past float64's range).
+const (
+	minOrgWeight = 1e-6
+	maxOrgWeight = 1e6
+)
+
 // Parse resolves a policy by name, as typed on a command line:
 // "static", "maxmin" ("max-min"), "hier" ("hierarchical", with
-// optional org weights as "hier:acme=3,bitco=1"), or "cost". The empty
-// string is static — the legacy flat-weight behavior. Unknown names
-// are an error listing the valid policies.
+// optional org weights as "hier:acme=3,bitco=1", each from 1e-6 to
+// 1e6), or "cost". The empty string is static — the legacy flat-weight
+// behavior. Unknown names are an error listing the valid policies.
 func Parse(name string) (Policy, error) {
 	base, spec := name, ""
 	if i := strings.IndexByte(name, ':'); i >= 0 {
@@ -230,8 +238,8 @@ func Parse(name string) (Policy, error) {
 					return nil, fmt.Errorf("policy: bad org weight %q (want org=weight)", kv)
 				}
 				w, err := strconv.ParseFloat(kv[eq+1:], 64)
-				if err != nil || w <= 0 || math.IsInf(w, 0) {
-					return nil, fmt.Errorf("policy: bad org weight %q (want a positive finite number)", kv)
+				if err != nil || !(w >= minOrgWeight && w <= maxOrgWeight) {
+					return nil, fmt.Errorf("policy: bad org weight %q (want a number from %g to %g)", kv, minOrgWeight, maxOrgWeight)
 				}
 				h.OrgWeights[kv[:eq]] = w
 			}

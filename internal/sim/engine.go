@@ -254,16 +254,18 @@ func (e *Engine) Schedule(t Time, fn func()) Timer {
 	return Timer{engine: e, slot: idx, gen: e.slab[idx].gen, when: t}
 }
 
-// After runs fn after duration d. Zero and negative durations both
-// schedule fn at the current instant, but never inline: fn runs after
-// the current event returns, and after every event already queued for
-// this same instant — events at one time fire in insertion order, so a
-// same-tick After from inside a running event always lands at the back
-// of the current tick. Model code may rely on this FIFO-within-tick
-// ordering (TestZeroAfterRunsAfterQueuedSameTimeEvents pins it).
+// After runs fn after duration d. A zero duration schedules fn at the
+// current instant, but never inline: fn runs after the current event
+// returns, and after every event already queued for this same instant
+// — events at one time fire in insertion order, so a same-tick After
+// from inside a running event always lands at the back of the current
+// tick. Model code may rely on this FIFO-within-tick ordering
+// (TestZeroAfterRunsAfterQueuedSameTimeEvents pins it). A negative
+// duration is a caller's arithmetic error, never a request for "now":
+// After panics with the delay and the current time.
 func (e *Engine) After(d Duration, fn func()) Timer {
 	if d < 0 {
-		d = 0
+		panic(fmt.Sprintf("sim: After(%v) at %v: negative delay", d, e.now))
 	}
 	return e.Schedule(e.now.Add(d), fn)
 }

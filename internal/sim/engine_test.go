@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -46,45 +47,54 @@ func TestSameTimeEventsRunInScheduleOrder(t *testing.T) {
 	}
 }
 
-func TestNegativeAfterFiresImmediately(t *testing.T) {
+// TestNegativeAfterPanics: a negative delay is refused at the call,
+// naming the delay and the current time, and schedules nothing.
+func TestNegativeAfterPanics(t *testing.T) {
 	e := NewEngine()
+	e.RunUntil(3)
 	fired := false
-	e.After(-5, func() { fired = true })
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "-5ns") || !strings.Contains(msg, "3ns") {
+				t.Errorf("panic %q, want one naming the delay -5ns and the time 3ns", msg)
+			}
+		}()
+		e.After(-5, func() { fired = true })
+	}()
 	e.Run()
-	if !fired || e.Now() != 0 {
-		t.Fatalf("fired=%v now=%v", fired, e.Now())
+	if fired || e.Pending() != 0 {
+		t.Fatalf("fired=%v pending=%d after a refused After", fired, e.Pending())
 	}
 }
 
 // TestZeroAfterRunsAfterQueuedSameTimeEvents pins the documented
-// same-tick ordering of After: a zero (or negative) duration scheduled
-// from inside a running event fires at the current instant but after
-// every event already queued for that instant — insertion order decides
-// within a tick, so the late After always lands at the back.
+// same-tick ordering of After: a zero duration scheduled from inside a
+// running event fires at the current instant but after every event
+// already queued for that instant — insertion order decides within a
+// tick, so the late After always lands at the back.
 func TestZeroAfterRunsAfterQueuedSameTimeEvents(t *testing.T) {
-	for _, d := range []Duration{0, -7} {
-		e := NewEngine()
-		var got []string
-		e.After(10, func() {
-			// Two events already queued for t=10 when the After is issued.
-			got = append(got, "first")
-			e.After(d, func() { got = append(got, "late-after") })
-		})
-		e.After(10, func() { got = append(got, "second") })
-		e.After(10, func() { got = append(got, "third") })
-		e.Run()
-		want := []string{"first", "second", "third", "late-after"}
-		if len(got) != len(want) {
-			t.Fatalf("d=%v: ran %v, want %v", d, got, want)
+	e := NewEngine()
+	var got []string
+	e.After(10, func() {
+		// Two events already queued for t=10 when the After is issued.
+		got = append(got, "first")
+		e.After(0, func() { got = append(got, "late-after") })
+	})
+	e.After(10, func() { got = append(got, "second") })
+	e.After(10, func() { got = append(got, "third") })
+	e.Run()
+	want := []string{"first", "second", "third", "late-after"}
+	if len(got) != len(want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order %v, want %v", got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("d=%v: order %v, want %v", d, got, want)
-			}
-		}
-		if e.Now() != 10 {
-			t.Fatalf("d=%v: same-tick After advanced the clock to %v", d, e.Now())
-		}
+	}
+	if e.Now() != 10 {
+		t.Fatalf("same-tick After advanced the clock to %v", e.Now())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/gpu"
 	"repro/internal/sim"
+	"repro/internal/userlib"
 	"repro/internal/workload"
 )
 
@@ -233,18 +234,24 @@ func TestColdRebuildNotCountedWhenTaskDies(t *testing.T) {
 
 	// The hog attaches and pins the only hardware context, forever.
 	hog := srv.Fleet().NewTenant(workload.OpenLoopTenant("hog", 100*us, 0))
-	hold := eng.NewGate("hold")
-	eng.Spawn("hog", func(p *sim.Proc) {
-		c, err := hog.Client(p, node)
+	pinned := func(_ *gpu.Channel, err error) {
+		if err != nil {
+			t.Errorf("hog acquire: %v", err)
+		}
+	}
+	opened := func(c *userlib.Client, err error) {
 		if err != nil {
 			t.Errorf("hog client: %v", err)
 			return
 		}
-		if _, err := c.VC.Acquire(p, gpu.Compute); err != nil {
-			t.Errorf("hog acquire: %v", err)
-			return
+		if ch, now, err := c.VC.AcquireAsync(gpu.Compute, pinned); now {
+			pinned(ch, err)
 		}
-		p.Wait(hold)
+	}
+	eng.After(0, func() {
+		if c, now, err := hog.ClientAsync(node, opened); now {
+			opened(c, err)
+		}
 	})
 	eng.RunFor(time.Millisecond)
 
@@ -333,8 +340,8 @@ func TestDispatcherFaultKilledAtEachStep(t *testing.T) {
 		if depth := srv.Fleet().QueueDepth(); depth != 0 {
 			t.Errorf("%s: fleet queue depth %d after the kill, want 0", step, depth)
 		}
-		if d.r != nil || !d.idle {
-			t.Errorf("%s: drain not at rest (request in flight %v, idle %v)", step, d.r != nil, d.idle)
+		if d.step != stepNext || !d.idle {
+			t.Errorf("%s: drain not at rest (step %v, idle %v)", step, d.step, d.idle)
 		}
 	}
 }

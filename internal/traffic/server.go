@@ -299,7 +299,7 @@ type item struct {
 
 // dispatcher drains one (stream, node) queue: it submits requests in
 // arrival order through the tenant's client on that node. Submission
-// may block on the node scheduler's interception (that is how engaged
+// may wait on the node scheduler's interception (that is how engaged
 // schedulers delay tenants), but completion is never waited for — the
 // channel FIFO and the completion hook carry the rest.
 //
@@ -307,22 +307,14 @@ type item struct {
 // §14) with no process. It opens the tenant's client on the node as a
 // continuation, one event after the placement that created it (where
 // a spawned process would first have run), its eager attach on the
-// mux's attach machine. Each submission then acquires the client's
-// virtual context through the attach machine
-// (neon.VContext.AcquireAsync): at once when the context is attached,
-// otherwise after the attach, and either way at the event position a
-// blocking Acquire would have had. The drain then stages the request
-// on the channel. A present register takes the async doorbell, and the
-// drain continues DirectWrite later, holding the context's pin until
-// that continuation, exactly as a blocking store holds its Acquire
-// across the write (pin-until-delivery), so the mux sees the same
-// evictable set at every instant. An engaged register commits the
-// staged, pinned request to the fault machine
-// (mmio.Page.StoreFaultingAsync) at the instant it was refused, and
-// the drain goes on, unpinning, where the faulting store is delivered.
-// The wake is edge-triggered (only the idle-to-backlogged transition
-// schedules the drain), and Config.BatchDrain turns a drained backlog
-// into one staged batch with a single doorbell.
+// mux's attach machine. Each submission is one userlib.Client.Submit,
+// and the drain goes on where its store returns: DirectWrite after a
+// direct doorbell, after an attach when the virtual context was
+// detached, or where a faulting store is delivered — the client holds
+// the context's pin until then (pin-until-delivery). The wake is
+// edge-triggered (only the idle-to-backlogged transition schedules the
+// drain), and Config.BatchDrain turns a drained backlog into one
+// staged batch with a single doorbell.
 type dispatcher struct {
 	srv    *Server
 	st     *stream
@@ -333,26 +325,18 @@ type dispatcher struct {
 	ready  bool // client setup finished; wakes may schedule the drain
 	idle   bool // drain stopped on an empty queue
 
-	// The request in flight: cur is the item being submitted, step what
-	// the drain owes it next, and r its staged request, whose acquire
-	// pins the context until its doorbell lands or its faulting store
-	// is delivered.
+	// The request in flight: cur is the item being submitted, and step
+	// what the drain owes it next.
 	cur  item
 	step drainStep
-	r    *gpu.Request
-	dw   sim.Duration
 
 	// The callbacks, bound once so the hot path allocates nothing:
 	// doneFn is the completion hook every request of this (stream,
-	// node) pair shares; wakeFn restarts an idle drain; landedFn is the
-	// continuation after a doorbell's DirectWrite and faultedFn after a
-	// faulting store's delivery; acquireFn receives the attach
-	// machine's channel.
-	doneFn    func(*gpu.Request)
-	wakeFn    func()
-	landedFn  func()
-	faultedFn func()
-	acquireFn func(*gpu.Channel, error)
+	// node) pair shares; wakeFn restarts an idle drain; storedFn is the
+	// continuation where a submission's store returns.
+	doneFn   func(*gpu.Request)
+	wakeFn   func()
+	storedFn func(*gpu.Request)
 }
 
 // drainStep is what the drain owes its current item next.
@@ -365,12 +349,10 @@ const (
 )
 
 func newDispatcher(s *Server, st *stream, n *fleet.Node) *dispatcher {
-	d := &dispatcher{srv: s, st: st, node: n, dw: n.Kernel.Costs().DirectWrite}
+	d := &dispatcher{srv: s, st: st, node: n}
 	d.doneFn = d.onDone
 	d.wakeFn = d.drain
-	d.landedFn = d.landed
-	d.faultedFn = d.faulted
-	d.acquireFn = d.onAcquired
+	d.storedFn = d.stored
 	return d
 }
 
@@ -406,9 +388,8 @@ func (d *dispatcher) opened(c *userlib.Client, err error) {
 }
 
 // drain advances the queue until the dispatcher must wait: for an
-// arrival (idle), for an attach to finish (onAcquired resumes), for a
-// fast-path doorbell to land (landed resumes), or for a faulting store
-// to be delivered (faulted resumes).
+// arrival (idle), or for a submission's store to return (stored
+// resumes).
 func (d *dispatcher) drain() {
 	for {
 		if d.step == stepNext {
@@ -436,86 +417,28 @@ func (d *dispatcher) drain() {
 				d.step = stepCold
 			}
 		}
-		ch, now, _ := d.client.VC.AcquireAsync(d.st.kind, d.acquireFn)
-		if !now {
-			return // attaching: onAcquired drains on
+		size := d.st.size
+		if d.step == stepCold {
+			size = d.st.spec.Tenant.WorkingSet
 		}
-		if !d.submitOn(ch) {
+		r, now, err := d.client.Submit(d.st.kind, size, nil, d.storedFn)
+		if err == nil && !now {
 			return
 		}
+		d.submitted(r)
 	}
 }
 
-// onAcquired is the attach machine's continuation: the channel the
-// current item goes to, pinned, or nil when the task died first.
-func (d *dispatcher) onAcquired(ch *gpu.Channel, _ error) {
-	if d.submitOn(ch) {
-		d.drain()
-	}
-}
-
-// size is the device time of what the current step submits: the
-// working-set rebuild, or the request itself.
-func (d *dispatcher) size() sim.Duration {
-	if d.step == stepCold {
-		return d.st.spec.Tenant.WorkingSet
-	}
-	return d.st.size
-}
-
-// submitOn submits the current item on the acquired channel ch (nil:
-// the task died first) and reports whether the drain may go on at
-// once. A present register takes the async doorbell, the pin held
-// until it lands (pin-until-delivery); an engaged one commits the
-// staged request to the fault machine, the pin held until the store is
-// delivered.
-func (d *dispatcher) submitOn(ch *gpu.Channel) bool {
-	if ch == nil {
-		d.submitted(nil)
-		return true
-	}
-	d.r = ch.Stage(d.size(), d.st.kind)
-	if ch.Reg.StoreAsync(d.srv.eng, d.r.Ref) {
-		d.srv.eng.After(d.dw, d.landedFn)
-		return false
-	}
-	if !ch.Reg.StoreFaultingAsync(d.srv.eng, d.r.Ref, d.faultedFn) {
-		return false
-	}
-	d.faultDone()
-	return true
-}
-
-// faulted is the fault machine's continuation: the faulting store was
-// delivered.
-func (d *dispatcher) faulted() {
-	d.faultDone()
-	d.drain()
-}
-
-// faultDone unpins the context after a faulting store's delivery and
-// accounts the submission.
-func (d *dispatcher) faultDone() {
-	r := d.r
-	d.r = nil
-	d.client.VC.Release()
-	d.submitted(r)
-}
-
-// landed is the doorbell's continuation, DirectWrite after the store
-// (right behind its delivery): unpin the context, account the
-// submission, and drain on.
-func (d *dispatcher) landed() {
-	d.client.VC.Release()
-	r := d.r
-	d.r = nil
+// stored is where a submission's store returns: account it and drain
+// on.
+func (d *dispatcher) stored(r *gpu.Request) {
 	d.submitted(r)
 	d.drain()
 }
 
 // submitted accounts one finished submission of the current item; r is
-// nil when the task died while its virtual context waited for a
-// hardware slot, so nothing reached the device.
+// nil when the task died before its virtual context could attach, so
+// nothing reached the device.
 func (d *dispatcher) submitted(r *gpu.Request) {
 	if d.step == stepCold {
 		// The rebuild's device time is real capacity spent — counted

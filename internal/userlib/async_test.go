@@ -1,189 +1,257 @@
 package userlib
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/gpu"
+	"repro/internal/neon"
 	"repro/internal/sim"
 )
 
-// TestSubmitAsyncZeroHandoff: the callback path completes a request with
-// the continuation firing in engine context — no process ever waits —
-// and the doorbell reaches the device a DirectWrite after staging,
-// exactly when a blocking store's sleep would have delivered it.
-func TestSubmitAsyncZeroHandoff(t *testing.T) {
-	e, k := stack(t)
+// openRaw opens a one-compute-channel raw client and settles its setup,
+// then absorbs the device's first context switch with one request, so
+// later timings are the submission path's alone.
+func openRaw(t *testing.T, e *sim.Engine, k *neon.Kernel) *Client {
+	t.Helper()
 	task := k.NewTask("t")
 	var c *Client
-	task.Go("main", func(p *sim.Proc) { c, _ = Open(p, k, task, "t", gpu.Compute) })
+	OpenAsync(k, task, "t", []gpu.Kind{gpu.Compute}, func(got *Client, err error) {
+		if err != nil {
+			t.Errorf("Open: %v", err)
+		}
+		if c = got; c != nil {
+			c.Submit(gpu.Compute, time.Microsecond, nil, nil)
+		}
+	})
 	e.RunFor(time.Millisecond)
 	if c == nil {
 		t.Fatal("Open never finished")
 	}
+	return c
+}
 
-	var done *gpu.Request
-	var doneAt sim.Time
-	start := e.Now()
-	r, ok := c.SubmitAsync(e, gpu.Compute, 40*time.Microsecond, func(r *gpu.Request) {
-		done = r
-		doneAt = e.Now()
-	})
-	if !ok || r == nil {
-		t.Fatal("SubmitAsync refused on a direct-mapped channel")
+// submitted records what Submit's continuations saw.
+type submitted struct {
+	stored, done         *gpu.Request
+	storedAt, doneAt     sim.Time
+	storedCalls, doneRan int
+}
+
+func (s *submitted) submit(t *testing.T, e *sim.Engine, c *Client, size sim.Duration) (*gpu.Request, bool) {
+	t.Helper()
+	r, now, err := c.Submit(gpu.Compute, size,
+		func(r *gpu.Request) { s.done, s.doneAt = r, e.Now(); s.doneRan++ },
+		func(r *gpu.Request) { s.stored, s.storedAt = r, e.Now(); s.storedCalls++ })
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	return r, now
+}
+
+// TestSubmitAsyncZeroHandoff: on a direct-mapped register Submit takes
+// the fast path from engine context — no process ever runs — its
+// store returns a DirectWrite after staging, exactly when a blocking
+// store's sleep would have delivered it, and the completion
+// continuation fires once in engine context.
+func TestSubmitAsyncZeroHandoff(t *testing.T) {
+	e, k := stack(t)
+	c := openRaw(t, e, k)
+	if e.LiveProcs() != 0 {
+		t.Fatalf("%d processes live after setup, want 0", e.LiveProcs())
+	}
+	var s submitted
+	start, acts := e.Now(), e.Activations()
+	r, now := s.submit(t, e, c, 40*time.Microsecond)
+	if r == nil || now {
+		t.Fatalf("Submit returned r=%v now=%v, want a staged request whose store returns later", r, now)
 	}
 	e.RunFor(time.Millisecond)
-	if done != r {
-		t.Fatal("continuation never fired")
+	if s.stored != r || s.storedCalls != 1 || s.storedAt != start.Add(k.Costs().DirectWrite) {
+		t.Errorf("store returned %d times, last at %v with %v; want once, at %v, with the request",
+			s.storedCalls, s.storedAt, s.stored, start.Add(k.Costs().DirectWrite))
 	}
-	want := start.Add(k.Costs().DirectWrite + k.Costs().ContextSwitch + 40*time.Microsecond)
-	if doneAt != want {
-		t.Fatalf("completed at %v, want %v (doorbell + context switch + execution)", doneAt, want)
+	want := start.Add(k.Costs().DirectWrite + 40*time.Microsecond)
+	if s.done != r || s.doneRan != 1 || s.doneAt != want {
+		t.Fatalf("completion ran %d times, at %v; want once, at %v (doorbell + execution)", s.doneRan, s.doneAt, want)
 	}
-	if c.Outstanding() != 0 {
-		t.Error("async request entered the outstanding set")
+	if got := e.Activations() - acts; got != 0 {
+		t.Errorf("%d process activations on the fast path, want 0", got)
 	}
 }
 
 // TestSubmitAsyncRefusesEngagedChannel: with the channel register
-// engaged (non-present page), the async fast path must refuse without
-// staging anything, and the blocking fallback must charge the fault
-// trap and block the submitting process through the fault path — the
-// interposition engaged schedulers depend on.
+// engaged (non-present page), Submit's fast path refuses and the store
+// takes the fault path as an engine continuation — the interposition
+// engaged schedulers depend on: the page counts one fault and no
+// direct write, and the store returns only after the fault trap and
+// the kernel's buffer scan.
 func TestSubmitAsyncRefusesEngagedChannel(t *testing.T) {
 	e, k := stack(t)
-	task := k.NewTask("t")
-	task.Go("main", func(p *sim.Proc) {
-		c, _ := Open(p, k, task, "t", gpu.Compute)
-		c.SubmitSync(p, gpu.Compute, 10*time.Microsecond) // absorb first context switch
-		reg := c.Channel(gpu.Compute).Reg
-		reg.SetPresent(false)
+	c := openRaw(t, e, k)
+	reg := c.Channel(gpu.Compute).Reg
+	reg.SetPresent(false)
+	faults, writes := reg.Faults, reg.DirectWrites
 
-		faultsBefore, writesBefore := reg.Faults, reg.DirectWrites
-		if _, ok := c.SubmitAsync(e, gpu.Compute, 10*time.Microsecond, nil); ok {
-			t.Error("SubmitAsync accepted an engaged channel")
-		}
-		if reg.Faults != faultsBefore || reg.DirectWrites != writesBefore {
-			t.Error("refused SubmitAsync touched the register page")
-		}
-		if !c.Engaged(gpu.Compute) {
-			t.Error("Engaged = false on a non-present register")
-		}
-
-		start := p.Now()
-		r := c.SubmitSync(p, gpu.Compute, 10*time.Microsecond)
-		if r == nil || !r.IsDone() {
-			t.Fatal("blocking fallback did not complete the request")
-		}
-		if reg.Faults != faultsBefore+1 {
-			t.Errorf("Faults = %d, want %d: fallback must take the fault path", reg.Faults, faultsBefore+1)
-		}
-		if blocked := p.Now().Sub(start); blocked < k.Costs().FaultTrap+10*time.Microsecond {
-			t.Errorf("fallback blocked %v, want at least fault trap + execution", blocked)
-		}
-	})
+	var s submitted
+	start, acts := e.Now(), e.Activations()
+	r, now := s.submit(t, e, c, 10*time.Microsecond)
+	if r == nil || now {
+		t.Fatalf("Submit returned r=%v now=%v, want a staged request still faulting", r, now)
+	}
+	if reg.Faults != faults+1 || reg.DirectWrites != writes {
+		t.Errorf("faults %d, direct writes %d; want one fault and no direct write",
+			reg.Faults-faults, reg.DirectWrites-writes)
+	}
 	e.RunFor(time.Millisecond)
+	if want := start.Add(k.Costs().InterceptCost()); s.stored != r || s.storedAt != want {
+		t.Errorf("faulting store returned at %v, want %v (trap + scan)", s.storedAt, want)
+	}
+	if s.done != r || s.doneAt.Sub(start) < k.Costs().FaultTrap+10*time.Microsecond {
+		t.Errorf("completed %v after submission, want at least fault trap + execution", s.doneAt.Sub(start))
+	}
+	if got := e.Activations() - acts; got != 0 {
+		t.Errorf("%d process activations on the fault path, want 0", got)
+	}
 }
 
 // TestSubmitAsyncRefusesTrapPerRequest: trap-per-request mode has no
-// user-space fast path at all; SubmitAsync must refuse and the blocking
-// path must still charge the per-request syscall trap and block.
+// user-space fast path at all; Submit charges the per-request syscall
+// trap as a timer before its store.
 func TestSubmitAsyncRefusesTrapPerRequest(t *testing.T) {
 	e, k := stack(t)
-	task := k.NewTask("t")
-	task.Go("main", func(p *sim.Proc) {
-		c, _ := Open(p, k, task, "t", gpu.Compute)
-		c.SubmitSync(p, gpu.Compute, 10*time.Microsecond) // absorb first context switch
-		c.TrapPerRequest = true
-		if _, ok := c.SubmitAsync(e, gpu.Compute, 10*time.Microsecond, nil); ok {
-			t.Error("SubmitAsync accepted in trap-per-request mode")
-		}
-		if c.Engaged(gpu.Compute) {
-			t.Error("Engaged = true in trap mode: the refusal is not an engagement")
-		}
-		start := p.Now()
-		if r := c.SubmitSync(p, gpu.Compute, 10*time.Microsecond); r == nil || !r.IsDone() {
-			t.Fatal("trap-mode submission did not complete")
-		}
-		want := k.Costs().SyscallTrap + k.Costs().DirectWrite + 10*time.Microsecond
-		if blocked := p.Now().Sub(start); blocked != want {
-			t.Errorf("trap-mode submission blocked %v, want %v", blocked, want)
-		}
-	})
+	c := openRaw(t, e, k)
+	c.TrapPerRequest = true
+	var s submitted
+	start := e.Now()
+	if _, now := s.submit(t, e, c, 10*time.Microsecond); now {
+		t.Fatal("a trapped submission returned at once")
+	}
 	e.RunFor(time.Millisecond)
+	costs := k.Costs()
+	if want := start.Add(costs.SyscallTrap + costs.DirectWrite); s.storedAt != want {
+		t.Errorf("trapped store returned at %v, want %v", s.storedAt, want)
+	}
+	if want := start.Add(costs.SyscallTrap + costs.DirectWrite + 10*time.Microsecond); s.doneAt != want {
+		t.Errorf("trapped request completed at %v, want %v", s.doneAt, want)
+	}
 }
 
-// TestSubmitEngagedCommitsFault: a submission that observed the register
-// engaged must replay the fault even if the scheduler disengaged the
-// page before its process-context turn — the committed-fault rule that
-// keeps continuation machines byte-identical with the atomic blocking
-// store's check-then-fault.
-func TestSubmitEngagedCommitsFault(t *testing.T) {
+// TestSubmitCommitsFaultAtRefusal: a store that found the register
+// engaged is committed to the fault at that instant, so a scheduler
+// that disengages the page in the same instant does not turn it into a
+// direct write — the committed-fault rule an atomic blocking store's
+// check-then-fault obeys.
+func TestSubmitCommitsFaultAtRefusal(t *testing.T) {
 	e, k := stack(t)
-	task := k.NewTask("t")
-	task.Go("main", func(p *sim.Proc) {
-		c, _ := Open(p, k, task, "t", gpu.Compute)
-		c.SubmitSync(p, gpu.Compute, 10*time.Microsecond)
-		reg := c.Channel(gpu.Compute).Reg
+	c := openRaw(t, e, k)
+	reg := c.Channel(gpu.Compute).Reg
+	reg.SetPresent(false)
+	faults, writes := reg.Faults, reg.DirectWrites
 
-		// The machine observes the engagement at the refusal instant...
-		reg.SetPresent(false)
-		if _, ok := c.SubmitAsync(e, gpu.Compute, 10*time.Microsecond, nil); ok {
-			t.Fatal("SubmitAsync accepted an engaged channel")
-		}
-		committed := c.Engaged(gpu.Compute)
-		if !committed {
-			t.Fatal("Engaged = false at the refusal instant")
-		}
-		// ...and the scheduler disengages before the slow lane runs.
-		reg.SetPresent(true)
-
-		faultsBefore := reg.Faults
-		start := p.Now()
-		r := c.SubmitEngaged(p, gpu.Compute, 10*time.Microsecond, nil)
-		if r == nil {
-			t.Fatal("SubmitEngaged staged nothing")
-		}
-		if reg.Faults != faultsBefore+1 {
-			t.Errorf("Faults = %d, want %d: the committed fault must replay", reg.Faults, faultsBefore+1)
-		}
-		if blocked := p.Now().Sub(start); blocked < k.Costs().FaultTrap {
-			t.Errorf("SubmitEngaged blocked %v, want at least the fault trap %v", blocked, k.Costs().FaultTrap)
-		}
-		p.Wait(r.DoneGate())
-	})
+	var s submitted
+	start := e.Now()
+	s.submit(t, e, c, 10*time.Microsecond)
+	reg.SetPresent(true) // the scheduler disengages within the instant
 	e.RunFor(time.Millisecond)
+	if reg.Faults != faults+1 || reg.DirectWrites != writes {
+		t.Errorf("faults %d, direct writes %d; want the committed fault and no direct write",
+			reg.Faults-faults, reg.DirectWrites-writes)
+	}
+	if waited := s.storedAt.Sub(start); waited < k.Costs().FaultTrap {
+		t.Errorf("store returned after %v, want at least the fault trap %v", waited, k.Costs().FaultTrap)
+	}
 }
 
-// TestWaitOneRetiresFromMiddle: WaitOne must retire the waited request
-// from the outstanding set by swap-remove — the set keeps the other
-// requests (order-independent) and Fence still drains exactly them.
-func TestWaitOneRetiresFromMiddle(t *testing.T) {
-	e, k := stack(t)
-	task := k.NewTask("t")
-	task.Go("main", func(p *sim.Proc) {
-		c, _ := Open(p, k, task, "t", gpu.Compute)
-		var reqs []*gpu.Request
-		for i := 0; i < 3; i++ {
-			reqs = append(reqs, c.Submit(p, gpu.Compute, 25*time.Microsecond))
-		}
-		c.WaitOne(p, reqs[1])
-		if !reqs[1].IsDone() {
-			t.Error("WaitOne returned before completion")
-		}
-		if c.Outstanding() != 2 {
-			t.Fatalf("Outstanding = %d after WaitOne, want 2", c.Outstanding())
-		}
-		left := map[*gpu.Request]bool{}
-		for _, r := range c.outstanding {
-			left[r] = true
-		}
-		if !left[reqs[0]] || !left[reqs[2]] || left[reqs[1]] {
-			t.Fatalf("outstanding set after middle retire: %v", left)
-		}
-		if drained := c.Fence(p); len(drained) != 2 {
-			t.Fatalf("Fence drained %d, want the 2 survivors", len(drained))
-		}
-	})
+// TestSubmitFaultReturnsInline: a fault whose every step costs nothing
+// is delivered inside Submit, which reports it instead of calling fn.
+func TestSubmitFaultReturnsInline(t *testing.T) {
+	e := sim.NewEngine()
+	cfg := gpu.DefaultConfig()
+	cfg.Costs.FaultTrap, cfg.Costs.FaultScan = 0, 0
+	k := neon.NewKernel(gpu.New(e, cfg), passthrough{})
+	c := openRaw(t, e, k)
+	c.Channel(gpu.Compute).Reg.SetPresent(false)
+	var s submitted
+	r, now := s.submit(t, e, c, 10*time.Microsecond)
+	if !now || r == nil {
+		t.Fatalf("Submit returned r=%v now=%v, want the store returned at once", r, now)
+	}
 	e.RunFor(time.Millisecond)
+	if s.storedCalls != 0 || s.done != r {
+		t.Errorf("fn ran %d times (want 0), completion saw %v (want the request)", s.storedCalls, s.done)
+	}
+}
+
+// TestSubmitUnopenedKind: a kind the client never opened is an error,
+// for raw and virtual clients alike — nothing is staged, neither
+// continuation runs, and nothing dereferences the missing channel.
+func TestSubmitUnopenedKind(t *testing.T) {
+	e, k := stack(t)
+	raw := openRaw(t, e, k)
+	var vc *Client
+	opened := func(c *Client, err error) {
+		if err != nil {
+			t.Fatalf("virtual open: %v", err)
+		}
+		vc = c
+	}
+	if c, now, err := OpenVirtualAsync(k, k.NewTask("v"), "v", []gpu.Kind{gpu.Compute}, opened); now {
+		opened(c, err)
+	}
+	e.RunFor(time.Millisecond)
+	for _, c := range []*Client{raw, vc} {
+		calls := 0
+		count := func(*gpu.Request) { calls++ }
+		r, _, err := c.Submit(gpu.Graphics, 10*time.Microsecond, count, count)
+		if err == nil || r != nil || !strings.Contains(err.Error(), "graphics") {
+			t.Errorf("virtual=%v: Submit = %v, %v; want an error naming the kind", c.VC != nil, r, err)
+		}
+		e.RunFor(time.Millisecond)
+		if calls != 0 {
+			t.Errorf("virtual=%v: %d continuations ran for an unopened kind", c.VC != nil, calls)
+		}
+	}
+}
+
+// TestSubmitAttachesDetachedContext: on a virtual client whose context
+// holds no hardware slot, Submit stages nothing until the attach
+// finishes and its store returns once the request is on the device; a
+// task killed while waiting for the slot gets fn(nil) and no
+// completion.
+func TestSubmitAttachesDetachedContext(t *testing.T) {
+	for _, kill := range []bool{false, true} {
+		e := sim.NewEngine()
+		cfg := gpu.DefaultConfig()
+		cfg.MaxContexts = 1
+		k := neon.NewKernel(gpu.New(e, cfg), passthrough{})
+		holder := openRaw(t, e, k)
+		task := k.NewTask("v")
+		c, now, err := OpenVirtualAsync(k, task, "v", []gpu.Kind{gpu.Compute}, nil)
+		if !now || err != nil || c.VC.Attached() {
+			t.Fatalf("virtual open: now=%v err=%v, want a detached context at once", now, err)
+		}
+		var s submitted
+		r, now := s.submit(t, e, c, 10*time.Microsecond)
+		if r != nil || now {
+			t.Fatalf("kill=%v: Submit staged %v (now=%v) before the attach", kill, r, now)
+		}
+		e.RunFor(time.Millisecond)
+		if kill {
+			k.KillTask(task, "test: die waiting for a slot")
+		} else {
+			holder.Task.Exit()
+		}
+		e.RunFor(time.Millisecond)
+		switch {
+		case s.storedCalls != 1:
+			t.Errorf("kill=%v: fn ran %d times, want once", kill, s.storedCalls)
+		case kill && (s.stored != nil || s.doneRan != 0):
+			t.Errorf("kill=%v: fn saw %v and completion ran %d times; want nil and none", kill, s.stored, s.doneRan)
+		case !kill && (s.stored == nil || s.done != s.stored || s.storedAt >= s.doneAt):
+			t.Errorf("kill=%v: fn saw %v at %v, completion %v at %v; want the attached request stored, then done",
+				kill, s.stored, s.storedAt, s.done, s.doneAt)
+		}
+	}
 }

@@ -2,26 +2,35 @@
 // stand-in for the vendor's CUDA/OpenCL/OpenGL libraries. Applications
 // use it to set up GPU contexts and channels (syscalls, caught by the
 // kernel's initialization phase) and to submit requests through the
-// direct-mapped channel registers (no kernel involvement unless the
-// scheduler has engaged the channel).
+// direct-mapped channel registers.
 //
-// It also offers a trap-per-request submission mode modeling the
-// alternative stack design (the paper's AMD Catalyst comparison point),
-// used by the Section 3 throughput experiment.
+// Submission has one entry point, Client.Submit, which runs in engine
+// context and never blocks. On a direct-mapped register it is what the
+// paper's fast path is: a staged request and a store to the channel
+// register, with no kernel involvement. Everything that makes a store
+// wait — a virtual context that must attach first, an engaged register
+// whose store faults into the kernel, or the trap-per-request mode
+// modeling the alternative stack design (the paper's AMD Catalyst
+// comparison point, used by the Section 3 experiment) — is Submit's
+// slow path, run as continuations at the event positions a blocking
+// store's wakeups would have had. Batch stages a backlog behind one
+// doorbell.
 package userlib
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/gpu"
 	"repro/internal/neon"
 	"repro/internal/sim"
 )
 
 // Client is a task's handle to the GPU: one context plus one channel per
-// requested kind. A client opened with OpenVirtual holds a logical
+// requested kind. A client opened with OpenVirtualAsync holds a logical
 // context instead (VC non-nil): the hardware context is attached lazily
 // per submission and may be transparently evicted and re-attached by
-// the kernel's virtual-context mux, so submission methods can return a
-// nil request when the task dies mid-attach.
+// the kernel's virtual-context mux.
 type Client struct {
 	Task *neon.Task
 	Ctx  *gpu.Context
@@ -31,10 +40,16 @@ type Client struct {
 	VC *neon.VContext
 
 	kernel   *neon.Kernel
+	eng      *sim.Engine
+	dw       sim.Duration // cost.Model.DirectWrite, the doorbell latency
 	channels map[gpu.Kind]*gpu.Channel
 	order    []gpu.Kind
 
-	outstanding []*gpu.Request
+	// free pools the records of submissions that wait on something;
+	// the first record lives inline, so a client whose submissions
+	// wait one at a time allocates no record of its own.
+	free  *submission
+	first submission
 
 	// TrapPerRequest switches submissions to the syscall path: every
 	// request pays a kernel trap (plus driver work if TrapDriverWork),
@@ -44,6 +59,13 @@ type Client struct {
 	TrapDriverWork bool
 }
 
+func newClient(k *neon.Kernel, t *neon.Task) *Client {
+	c := &Client{Task: t, kernel: k, eng: k.Engine(), dw: k.Costs().DirectWrite}
+	c.first.bind(c)
+	c.free = &c.first
+	return c
+}
+
 // Open creates a context and one channel per kind for the task. It is
 // called from the task's own process p and pays the setup syscall costs.
 func Open(p *sim.Proc, k *neon.Kernel, t *neon.Task, label string, kinds ...gpu.Kind) (*Client, error) {
@@ -51,12 +73,9 @@ func Open(p *sim.Proc, k *neon.Kernel, t *neon.Task, label string, kinds ...gpu.
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		Task:     t,
-		Ctx:      ctx,
-		kernel:   k,
-		channels: make(map[gpu.Kind]*gpu.Channel, len(kinds)),
-	}
+	c := newClient(k, t)
+	c.Ctx = ctx
+	c.channels = make(map[gpu.Kind]*gpu.Channel, len(kinds))
 	for _, kind := range kinds {
 		cs, err := k.CreateChannel(p, t, ctx, kind)
 		if err != nil {
@@ -68,26 +87,23 @@ func Open(p *sim.Proc, k *neon.Kernel, t *neon.Task, label string, kinds ...gpu.
 	return c, nil
 }
 
-// OpenVirtual creates a client backed by a logical (virtual) context:
-// the task can always open one, regardless of how many hardware
-// contexts the device has, and the kernel multiplexes the hardware pool
-// underneath. When a hardware slot is free the attach happens eagerly
-// here, paying exactly the setup syscalls Open would; otherwise the
-// first submission attaches (queueing for a slot if the pool is
-// exhausted, and paying cost.ContextSwitch on every re-attach).
-func OpenVirtual(p *sim.Proc, k *neon.Kernel, t *neon.Task, label string, kinds ...gpu.Kind) (*Client, error) {
-	vc, err := k.OpenVirtual(p, t, label, kinds...)
-	if err != nil {
-		return nil, err
-	}
-	return virtualClient(k, vc, kinds), nil
+// OpenAsync runs Open on a new thread of the task — the setup syscalls
+// are paid in process context — and hands the result to fn on that
+// thread, which ends when fn returns. Closed-loop drivers start their
+// submission machines from fn, so the thread lives for setup only.
+func OpenAsync(k *neon.Kernel, t *neon.Task, label string, kinds []gpu.Kind, fn func(*Client, error)) {
+	t.Go("main", func(p *sim.Proc) { fn(Open(p, k, t, label, kinds...)) })
 }
 
-// OpenVirtualAsync is the engine-context form of OpenVirtual, over
-// neon.Kernel.OpenVirtualAsync: an open that finishes at once returns
-// the client with now set and never calls fn; otherwise fn receives
-// the client (or the error) in the event where the eager attach
-// finishes.
+// OpenVirtualAsync creates a client backed by a logical (virtual)
+// context, over neon.Kernel.OpenVirtualAsync: the task can always open
+// one, regardless of how many hardware contexts the device has, and the
+// kernel multiplexes the hardware pool underneath. When a hardware slot
+// is free the context attaches eagerly, paying exactly the setup
+// syscalls Open would; otherwise the first submission attaches. An
+// open that finishes at once returns the client with now set and never
+// calls fn; otherwise fn receives the client (or the error) in the
+// event where the eager attach finishes.
 func OpenVirtualAsync(k *neon.Kernel, t *neon.Task, label string, kinds []gpu.Kind, fn func(*Client, error)) (c *Client, now bool, err error) {
 	vc, now, err := k.OpenVirtualAsync(t, label, kinds, func(vc *neon.VContext, err error) {
 		if err != nil {
@@ -103,12 +119,10 @@ func OpenVirtualAsync(k *neon.Kernel, t *neon.Task, label string, kinds []gpu.Ki
 }
 
 func virtualClient(k *neon.Kernel, vc *neon.VContext, kinds []gpu.Kind) *Client {
-	return &Client{
-		Task:   vc.Task(),
-		VC:     vc,
-		kernel: k,
-		order:  append([]gpu.Kind(nil), kinds...),
-	}
+	c := newClient(k, vc.Task())
+	c.VC = vc
+	c.order = append([]gpu.Kind(nil), kinds...)
+	return c
 }
 
 // Channel returns the client's channel of the given kind, or nil. For a
@@ -125,224 +139,226 @@ func (c *Client) Channel(kind gpu.Kind) *gpu.Channel {
 func (c *Client) Kinds() []gpu.Kind { return c.order }
 
 // Submit stages a request of the given size on the kind's channel and
-// rings the doorbell. It does not wait for completion. The store may
-// fault (and block p) if the scheduler has engaged the channel.
-func (c *Client) Submit(p *sim.Proc, kind gpu.Kind, size sim.Duration) *gpu.Request {
-	r := c.SubmitDetached(p, kind, size)
-	if r == nil {
-		return nil
-	}
-	c.outstanding = append(c.outstanding, r)
-	return r
-}
-
-// SubmitDetached stages and submits a request without adding it to the
-// outstanding set: the caller never fences or waits on it through this
-// client. Open-loop serving dispatchers use it — completion is observed
-// through the request's own done hook, and tracking every in-flight
-// request in the fence list would grow without bound under sustained
-// overload. Like Submit, the doorbell store may fault and block p.
-// On a virtual client it returns nil if the task dies before the
-// logical context can attach.
-func (c *Client) SubmitDetached(p *sim.Proc, kind gpu.Kind, size sim.Duration) *gpu.Request {
-	ch := c.channels[kind]
-	if c.VC != nil {
-		var err error
-		ch, err = c.VC.Acquire(p, kind)
-		if err != nil {
-			return nil
-		}
-		defer c.VC.Release()
-	}
-	r := ch.Stage(size, kind)
-	if c.TrapPerRequest {
-		cost := c.kernel.Costs().SyscallTrap
-		if c.TrapDriverWork {
-			cost += c.kernel.Costs().SyscallDriverWork
-		}
-		p.Sleep(cost)
-	}
-	ch.Reg.Store(p, r.Ref)
-	return r
-}
-
-// SubmitAsync is the continuation-passing submission fast path: stage,
-// hook the completion continuation, ring the doorbell asynchronously —
-// all from engine (or process) context, never blocking and never waking
-// a process. The device sees the store at now+DirectWrite, exactly as a
-// direct-mapped blocking store would deliver it, and onDone (if non-nil)
-// fires exactly once in engine context when the request completes or
-// aborts — before the request's done gate opens, per gpu.Request.OnDone.
+// rings its doorbell. It runs in engine (or process) context, never
+// blocks and never refuses: whatever a blocking store would have waited
+// through, it runs as continuations, one step per event a blocking
+// store's wakeup would have had.
 //
-// It reports false — staging nothing — whenever completing the
-// submission would need process context: trap-per-request mode, an
-// engaged (non-present) channel register, or a virtual client whose
-// logical context is not currently attached. Callers then fall back to
-// the blocking methods from a real process, which charge the trap or
-// fault costs the slow paths owe. Async requests never enter the
-// outstanding set; completion is observed through the continuation.
-func (c *Client) SubmitAsync(e *sim.Engine, kind gpu.Kind, size sim.Duration, onDone func(*gpu.Request)) (*gpu.Request, bool) {
-	if c.TrapPerRequest {
-		return nil, false
-	}
-	ch := c.channels[kind]
-	if c.VC != nil {
-		// Peek, don't pin: a refused submission must leave the mux LRU
-		// clock untouched so the blocking retry's Acquire is the one use
-		// the submission charges (see VContext.Peek).
-		var ok bool
-		ch, ok = c.VC.Peek(kind)
-		if !ok {
-			return nil, false
-		}
-	}
-	if ch == nil || !ch.Reg.Present() {
-		return nil, false
-	}
-	if c.VC != nil {
-		if _, ok := c.VC.AcquireIf(kind); !ok {
-			return nil, false
-		}
-		defer c.VC.Release()
-	}
-	r := ch.Stage(size, kind)
-	r.OnDone = onDone
-	if !ch.Reg.StoreAsync(e, r.Ref) {
-		panic("userlib: async store refused on a present page")
-	}
-	return r, true
-}
-
-// Engaged reports whether the async fast path is unavailable solely
-// because the scheduler has engaged the channel register: the channel is
-// resolvable without blocking (raw client, or attached virtual context)
-// but the register page is non-present. A continuation machine calls it
-// in the same engine instant as a SubmitAsync refusal to decide whether
-// the slow-lane retry must commit to the fault path (SubmitEngaged)
-// before handing off to its process — the handoff is an event hop, and
-// the scheduler may disengage within the instant, which must not turn a
-// store that was observed engaged into a direct write.
-func (c *Client) Engaged(kind gpu.Kind) bool {
-	if c.TrapPerRequest {
-		return false
-	}
-	ch := c.channels[kind]
-	if c.VC != nil {
-		var ok bool
-		ch, ok = c.VC.Peek(kind)
-		if !ok {
-			return false
-		}
-	}
-	return ch != nil && !ch.Reg.Present()
-}
-
-// SubmitEngaged completes, on process p, a submission whose fast path
-// was refused because the channel register was engaged (Engaged
-// reported true at the refusal instant). The store is committed to the
-// fault path — mmio.Page.StoreFaulting — so the request pays the fault
-// trap and runs the kernel handler even if the scheduler disengaged the
-// page between the refusal and p's turn, exactly as a blocking Store
-// that took the fault at the observation would have. The continuation,
-// if non-nil, is hooked before the store: the handler may block p
-// arbitrarily and the request can be aborted (task death) while staged,
-// in which case onDone fires during this call. It does not wait for
-// completion. On a virtual client it returns nil, staging nothing, if
-// the task dies before the context can (re)attach.
-func (c *Client) SubmitEngaged(p *sim.Proc, kind gpu.Kind, size sim.Duration, onDone func(*gpu.Request)) *gpu.Request {
-	ch := c.channels[kind]
-	if c.VC != nil {
-		var err error
-		ch, err = c.VC.Acquire(p, kind)
-		if err != nil {
-			return nil
-		}
-		defer c.VC.Release()
-	}
-	r := ch.Stage(size, kind)
-	r.OnDone = onDone
-	ch.Reg.StoreFaulting(p, r.Ref)
-	return r
-}
-
-// SubmitSync submits a request and blocks until it completes, like a
-// blocking OpenCL kernel launch. Completion is detected by user-space
-// polling of the reference counter (no kernel involvement).
+// The fast path — no trap mode, and a direct-mapped register on a
+// channel at hand without attaching — stages the request and rings the
+// doorbell with mmio.Page.StoreAsync, which reaches the device
+// DirectWrite later. Otherwise the slow path runs: a virtual context
+// that is not attached attaches first (neon.VContext.AcquireAsync), the
+// trap-per-request mode sleeps its trap as a timer, and the store is
+// then made — direct if the register is present at that instant, or
+// else committed to the fault machine (mmio.Page.StoreFaultingAsync)
+// at that same instant, so a scheduler that disengages the page a
+// moment later does not turn a store that found it engaged into a
+// direct write (the committed-fault rule). The fast path's check only
+// peeks at a virtual context (neon.VContext.Peek), so every submission
+// charges the mux LRU clock exactly once (the peek rule), and a virtual
+// context stays pinned until its store is delivered, as a blocking
+// store holds it across the DirectWrite (the pin-until-delivery rule).
 //
-// It is a thin wrapper over SubmitAsync: because the caller does nothing
-// between the doorbell store and the completion wait, the store uses the
-// page's asynchronous fast path when the channel is direct-mapped — the
-// doorbell still reaches the device at now+DirectWrite, but without a
-// process wakeup in between — and the process parks once, on the done
-// gate. An engaged channel (or the trap-per-request mode) falls back to
-// the blocking store, which may fault and delay the process arbitrarily.
-// Sync requests never enter the outstanding set: the request is retired
-// before returning, so there is nothing for Fence to see.
-// On a virtual client it returns nil if the task dies before the
-// logical context can attach.
-func (c *Client) SubmitSync(p *sim.Proc, kind gpu.Kind, size sim.Duration) *gpu.Request {
-	if r, ok := c.SubmitAsync(p.Engine(), kind, size, nil); ok {
-		p.Wait(r.DoneGate())
-		return r
+// onDone, if non-nil, runs once in engine context when the request
+// completes or aborts, before its done gate opens (gpu.Request.OnDone).
+// fn, if non-nil, runs once where a blocking store would have returned:
+// DirectWrite after the doorbell, or in the event that delivers a
+// faulting store. It receives the request, or nil when the task died
+// before its virtual context could attach and nothing was staged; a
+// caller that passes no fn does not learn of that case. When the store
+// returned within the call (a fault whose every step cost nothing)
+// Submit reports now and fn is not called.
+//
+// Submit returns the request if it was staged within the call (nil
+// while a virtual context attaches). It returns an error, staging
+// nothing and calling neither continuation, when the client opened no
+// channel of the kind or its task is already dead.
+func (c *Client) Submit(kind gpu.Kind, size sim.Duration, onDone, fn func(*gpu.Request)) (r *gpu.Request, now bool, err error) {
+	ch, fast, err := c.fastPath(kind)
+	if err != nil {
+		return nil, true, err
 	}
-	ch := c.channels[kind]
-	if c.VC != nil {
-		var err error
-		ch, err = c.VC.Acquire(p, kind)
-		if err != nil {
-			return nil
+	if fast {
+		if c.VC != nil {
+			c.VC.AcquireIf(kind)
 		}
+		r = ch.Stage(size, kind)
+		r.OnDone = onDone
+		if !ch.Reg.StoreAsync(c.eng, r.Ref) {
+			panic("userlib: async store refused on a present page")
+		}
+		if c.VC == nil && fn == nil {
+			return r, false, nil
+		}
+		s := c.record(kind, size, onDone, fn)
+		s.ch, s.r, s.stored = ch, r, true
+		c.eng.After(c.dw, s.stepFn)
+		return r, false, nil
 	}
-	r := ch.Stage(size, kind)
+	s := c.record(kind, size, onDone, fn)
+	if c.VC == nil {
+		s.ch = ch
+	} else if s.ch, now, err = c.VC.AcquireAsync(kind, s.acquiredFn); !now {
+		return nil, false, nil
+	} else if err != nil {
+		c.put(s)
+		return nil, true, err
+	}
+	s.onsite = true
+	s.stage()
+	r = s.r
+	s.onsite = false
+	if s.returned {
+		c.put(s)
+		return r, true, nil
+	}
+	return r, false, nil
+}
+
+// fastPath resolves the kind's channel and reports whether a
+// submission may take the fast path on it. A virtual context is only
+// peeked at (the peek rule): the slow path's acquire is the one use the
+// submission charges. It fails for a kind the client never opened and
+// for a dead task.
+func (c *Client) fastPath(kind gpu.Kind) (*gpu.Channel, bool, error) {
+	ch, ok := c.channels[kind], true
+	if c.VC != nil && slices.Contains(c.order, kind) {
+		ch, ok = c.VC.Peek(kind)
+	} else if ch == nil {
+		return nil, false, fmt.Errorf("userlib: task %q opened no %v channel", c.Task.Name, kind)
+	}
+	if !c.Task.Alive {
+		return nil, false, gpu.ErrContextDead
+	}
+	return ch, ok && !c.TrapPerRequest && ch.Reg.Present(), nil
+}
+
+// submission is one Submit that waits on something: an attach, a trap,
+// a faulting store, or (on a virtual context, or with an fn to call) a
+// doorbell's DirectWrite. Records are pooled per client with their
+// callbacks bound once, so a waiting submission allocates nothing once
+// the pool has grown.
+type submission struct {
+	c      *Client
+	next   *submission // free-list link
+	kind   gpu.Kind
+	size   sim.Duration
+	onDone func(*gpu.Request)
+	fn     func(*gpu.Request)
+	ch     *gpu.Channel
+	r      *gpu.Request
+
+	// stored is set once the doorbell store is made: stepFn then returns
+	// the store instead of making it. onsite is set while Submit's own
+	// call runs the steps; a store that returns then sets returned
+	// instead of calling fn.
+	stored, onsite, returned bool
+
+	stepFn     func()                    // the trap's, the write's or the fault's continuation
+	acquiredFn func(*gpu.Channel, error) // the attach's continuation
+}
+
+// record takes a submission record from the client's pool.
+func (c *Client) record(kind gpu.Kind, size sim.Duration, onDone, fn func(*gpu.Request)) *submission {
+	s := c.free
+	if s != nil {
+		c.free = s.next
+	} else {
+		s = new(submission)
+		s.bind(c)
+	}
+	s.kind, s.size, s.onDone, s.fn = kind, size, onDone, fn
+	return s
+}
+
+// bind sets up a fresh record of the client's pool.
+func (s *submission) bind(c *Client) {
+	s.c = c
+	s.stepFn = s.step
+	s.acquiredFn = s.acquired
+}
+
+// put returns a record to the pool.
+func (c *Client) put(s *submission) {
+	*s = submission{c: c, next: c.free, stepFn: s.stepFn, acquiredFn: s.acquiredFn}
+	c.free = s
+}
+
+// acquired is the attach machine's continuation: the pinned channel,
+// or an error when the task died first.
+func (s *submission) acquired(ch *gpu.Channel, err error) {
+	if err != nil {
+		s.returnTo(nil)
+		return
+	}
+	s.ch = ch
+	s.stage()
+}
+
+// stage stages the request, then stores its doorbell — after the trap
+// in trap-per-request mode.
+func (s *submission) stage() {
+	c := s.c
+	s.r = s.ch.Stage(s.size, s.kind)
+	s.r.OnDone = s.onDone
 	if c.TrapPerRequest {
-		cost := c.kernel.Costs().SyscallTrap
+		costs := c.kernel.Costs()
+		d := costs.SyscallTrap
 		if c.TrapDriverWork {
-			cost += c.kernel.Costs().SyscallDriverWork
+			d += costs.SyscallDriverWork
 		}
-		p.Sleep(cost)
-		ch.Reg.Store(p, r.Ref)
-	} else if !ch.Reg.StoreAsync(p.Engine(), r.Ref) {
-		ch.Reg.Store(p, r.Ref)
+		if d > 0 {
+			c.eng.After(d, s.stepFn)
+			return
+		}
 	}
-	if c.VC != nil {
+	s.store()
+}
+
+// step is the timer and fault continuation: after the trap it makes
+// the store, after the store it returns it.
+func (s *submission) step() {
+	if s.stored {
+		s.returnTo(s.r)
+		return
+	}
+	s.store()
+}
+
+// store makes the doorbell store, deciding direct or fault at this
+// instant: a direct store returns DirectWrite later, and a faulting
+// store where the fault machine delivers it.
+func (s *submission) store() {
+	s.stored = true
+	reg := s.ch.Reg
+	if reg.StoreAsync(s.c.eng, s.r.Ref) {
+		s.c.eng.After(s.c.dw, s.stepFn)
+		return
+	}
+	if reg.StoreFaultingAsync(s.c.eng, s.r.Ref, s.stepFn) {
+		s.returnTo(s.r)
+	}
+}
+
+// returnTo ends the submission where its store returns: a virtual
+// context's pin is released, the record is recycled, and fn continues
+// the caller — unless Submit is still on the stack, which reports the
+// return itself.
+func (s *submission) returnTo(r *gpu.Request) {
+	c, fn := s.c, s.fn
+	if c.VC != nil && r != nil {
 		c.VC.Release()
 	}
-	p.Wait(r.DoneGate())
-	return r
-}
-
-// WaitOne blocks until the given request completes or aborts, and
-// retires it from the outstanding set by swap-remove: the hole is filled
-// with the last element, so retiring from the middle is O(1) instead of
-// shifting the tail. The outstanding set's order is therefore
-// unspecified — Fence waits on all of them regardless of order, and no
-// caller may rely on submission order surviving a WaitOne.
-func (c *Client) WaitOne(p *sim.Proc, r *gpu.Request) {
-	p.Wait(r.DoneGate())
-	for i, o := range c.outstanding {
-		if o == r {
-			last := len(c.outstanding) - 1
-			c.outstanding[i] = c.outstanding[last]
-			c.outstanding[last] = nil
-			c.outstanding = c.outstanding[:last]
-			break
-		}
+	if s.onsite {
+		s.returned = true
+		return
+	}
+	c.put(s)
+	if fn != nil {
+		fn(r)
 	}
 }
-
-// Fence blocks until every outstanding request completes (a frame
-// boundary for graphics pipelines) and returns the drained requests.
-func (c *Client) Fence(p *sim.Proc) []*gpu.Request {
-	reqs := c.outstanding
-	c.outstanding = nil
-	for _, r := range reqs {
-		p.Wait(r.DoneGate())
-	}
-	return reqs
-}
-
-// Outstanding returns requests submitted but not yet fenced.
-func (c *Client) Outstanding() int { return len(c.outstanding) }
 
 // Batch stages several requests on one channel and rings a single
 // doorbell for all of them — the open-loop dispatchers' backlog-drain
@@ -364,37 +380,24 @@ type Batch struct {
 }
 
 // BeginBatch opens a batch on the kind's channel, pinning a virtual
-// client's context until Flush. Like SubmitAsync it refuses
-// — staging nothing — when the fast path is unavailable
-// (trap-per-request mode, engaged register, or detached virtual
-// context); callers fall back to per-request blocking submission,
-// which preserves the per-request fault/trap sequence engaged
-// schedulers depend on.
+// client's context until Flush. It refuses — staging nothing — when
+// Submit would not take its fast path (trap-per-request mode, engaged
+// register, or detached virtual context; the peek rule applies);
+// callers then submit per request, which preserves the per-request
+// fault/trap sequence engaged schedulers depend on.
 func (c *Client) BeginBatch(kind gpu.Kind) (Batch, bool) {
-	if c.TrapPerRequest {
-		return Batch{}, false
-	}
-	ch := c.channels[kind]
-	if c.VC != nil {
-		var ok bool
-		ch, ok = c.VC.Peek(kind)
-		if !ok {
-			return Batch{}, false
-		}
-	}
-	if ch == nil || !ch.Reg.Present() {
+	ch, fast, err := c.fastPath(kind)
+	if err != nil || !fast {
 		return Batch{}, false
 	}
 	if c.VC != nil {
-		if _, ok := c.VC.AcquireIf(kind); !ok {
-			return Batch{}, false
-		}
+		c.VC.AcquireIf(kind)
 	}
 	return Batch{c: c, ch: ch}, true
 }
 
 // Stage adds one request to the batch without ringing the doorbell. The
-// continuation fires per request, exactly as with SubmitAsync.
+// continuation fires per request, exactly as with Submit.
 func (b *Batch) Stage(size sim.Duration, kind gpu.Kind, onDone func(*gpu.Request)) *gpu.Request {
 	r := b.ch.Stage(size, kind)
 	r.OnDone = onDone

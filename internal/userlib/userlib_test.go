@@ -70,6 +70,18 @@ func TestOpenPaysSetupCosts(t *testing.T) {
 	}
 }
 
+// submitSync submits from process p and parks p on the request's done
+// gate: the blocking submit-and-wait of an OpenCL-style application.
+func submitSync(t *testing.T, p *sim.Proc, c *Client, size sim.Duration) *gpu.Request {
+	t.Helper()
+	r, _, err := c.Submit(gpu.Compute, size, nil, nil)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	p.Wait(r.DoneGate())
+	return r
+}
+
 func TestSubmitSyncRoundTrip(t *testing.T) {
 	e, k := stack(t)
 	task := k.NewTask("t")
@@ -78,11 +90,8 @@ func TestSubmitSyncRoundTrip(t *testing.T) {
 	task.Go("main", func(p *sim.Proc) {
 		c, _ := Open(p, k, task, "t", gpu.Compute)
 		start := p.Now()
-		r = c.SubmitSync(p, gpu.Compute, 40*time.Microsecond)
+		r = submitSync(t, p, c, 40*time.Microsecond)
 		elapsed = p.Now().Sub(start)
-		if c.Outstanding() != 0 {
-			t.Error("SubmitSync left the request outstanding")
-		}
 	})
 	e.RunFor(time.Millisecond)
 	if r == nil || !r.IsDone() {
@@ -95,33 +104,6 @@ func TestSubmitSyncRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFenceDrainsAllOutstanding(t *testing.T) {
-	e, k := stack(t)
-	task := k.NewTask("t")
-	task.Go("main", func(p *sim.Proc) {
-		c, _ := Open(p, k, task, "t", gpu.Compute)
-		for i := 0; i < 4; i++ {
-			c.Submit(p, gpu.Compute, 25*time.Microsecond)
-		}
-		if c.Outstanding() != 4 {
-			t.Errorf("Outstanding = %d, want 4", c.Outstanding())
-		}
-		reqs := c.Fence(p)
-		if len(reqs) != 4 {
-			t.Errorf("Fence returned %d requests", len(reqs))
-		}
-		for _, r := range reqs {
-			if !r.IsDone() {
-				t.Error("Fence returned an incomplete request")
-			}
-		}
-		if c.Outstanding() != 0 {
-			t.Error("Fence left requests outstanding")
-		}
-	})
-	e.RunFor(time.Millisecond)
-}
-
 func TestTrapPerRequestPaysSyscall(t *testing.T) {
 	e, k := stack(t)
 	task := k.NewTask("t")
@@ -130,7 +112,7 @@ func TestTrapPerRequestPaysSyscall(t *testing.T) {
 		c, _ := Open(p, k, task, "t", gpu.Compute)
 		measure := func() sim.Duration {
 			start := p.Now()
-			c.SubmitSync(p, gpu.Compute, 10*time.Microsecond)
+			submitSync(t, p, c, 10*time.Microsecond)
 			return p.Now().Sub(start)
 		}
 		measure() // warm up: absorb the initial GPU context switch

@@ -14,98 +14,54 @@ import (
 // request that never terminates. Under direct access this hangs the
 // device; under the protected schedulers the kernel must identify and
 // kill the task.
+//
+// The warm-up rounds are a continuation chain on userlib.Client.Submit,
+// one submit-and-wait request per round, each resubmitted from the
+// previous one's completion; the task's thread lives only for setup.
 func LaunchInfiniteKernel(k *neon.Kernel, warmupRounds int) *App {
 	spec := Spec{Name: "InfiniteKernel", Area: "Adversarial", CPU: 2 * time.Microsecond,
 		Mix: []Req{{Size: 50 * time.Microsecond, Kind: gpu.Compute, Count: 1}}}
-	a := &App{Spec: spec, ready: k.Engine().NewGate("ready-inf")}
+	a := &App{Spec: spec}
 	a.Task = k.NewTask(spec.Name)
-	a.Task.Go("main", func(p *sim.Proc) {
-		client, err := userlib.Open(p, k, a.Task, spec.Name, gpu.Compute)
+	userlib.OpenAsync(k, a.Task, spec.Name, spec.ChannelKinds(), func(c *userlib.Client, err error) {
 		if err != nil {
 			a.setupErr = err
-			a.ready.Open()
 			return
 		}
-		a.ready.Open()
-
-		// Warmup rounds run as a continuation machine on the async
-		// submission path, with this process as the slow lane — the same
-		// shape as App.step, reduced to one blocking request per round.
-		eng := p.Engine()
-		slow := eng.NewGate("slow-inf")
+		eng := k.Engine()
 		var (
 			rounds int
 			start  sim.Time
-			fault  bool
-			attack bool
-			submit func(*sim.Proc)
-			done   func(*gpu.Request)
+			last   *gpu.Request
+			submit func()
 		)
-		account := func(p *sim.Proc) {
+		account := func() {
+			last.Release()
 			a.Rounds++
 			a.RoundTime += eng.Now().Sub(start)
 			rounds++
-			if rounds < warmupRounds && a.Task.Alive {
-				submit(p)
-				return
-			}
-			attack = true
-			slow.Signal()
+			submit()
 		}
-		done = func(r *gpu.Request) {
+		done := func(r *gpu.Request) {
 			if r.Aborted {
 				return
 			}
-			eng.After(0, func() {
-				r.Release()
-				account(nil)
-			})
+			last = r
+			eng.After(0, account)
 		}
-		submit = func(p *sim.Proc) {
-			start = eng.Now()
-			committed := fault
-			fault = false
-			if !committed {
-				if _, ok := client.SubmitAsync(eng, gpu.Compute, 50*time.Microsecond, done); ok {
-					return
-				}
-				if p == nil {
-					fault = client.Engaged(gpu.Compute)
-					slow.Signal()
-					return
-				}
+		submit = func() {
+			if !a.Task.Alive {
+				return
 			}
-			if committed {
-				if r := client.SubmitEngaged(p, gpu.Compute, 50*time.Microsecond, nil); r != nil {
-					p.Wait(r.DoneGate())
-					r.Release()
-				}
-			} else {
-				client.SubmitSync(p, gpu.Compute, 50*time.Microsecond)
+			if rounds < warmupRounds {
+				start = eng.Now()
+				c.Submit(gpu.Compute, 50*time.Microsecond, done, nil)
+				return
 			}
-			account(p)
+			// The attack: an infinite loop on the device.
+			c.Submit(gpu.Compute, gpu.Forever, nil, nil)
 		}
-		if warmupRounds > 0 {
-			submit(p)
-		} else {
-			attack = true
-		}
-		for a.Task.Alive && !attack {
-			p.Wait(slow)
-			if !attack {
-				submit(p)
-			}
-		}
-		if !a.Task.Alive {
-			return
-		}
-
-		// The attack: an infinite loop on the device.
-		client.Submit(p, gpu.Compute, gpu.Forever)
-		// Keep "working" so the task looks busy.
-		for a.Task.Alive {
-			p.Sleep(time.Millisecond)
-		}
+		submit()
 	})
 	return a
 }

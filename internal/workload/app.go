@@ -28,26 +28,21 @@ type App struct {
 	rng        *sim.RNG
 	lastSubmit sim.Time
 	setupErr   error
-	ready      *sim.Gate
 
-	// Continuation-machine state (DESIGN.md §14): the round loop runs as
-	// an engine-driven state machine so steady-state rounds cost no
-	// goroutine park/unpark; the task's process survives as the slow
-	// lane for submissions that must block (engaged channels, traps).
+	// Round-machine state (DESIGN.md §14): the round loop is an
+	// engine-driven state machine over userlib.Client.Submit, so a round
+	// runs no process, whichever path its submissions take.
 	eng        *sim.Engine
-	dw         sim.Duration // cost.Model.DirectWrite, the doorbell latency
 	reqs       []Req
 	phase      int
 	idx        int            // next request in the round's sequence
-	noted      bool           // reqs[idx] already counted by noteSubmit
 	pending    int            // fire-and-forget submissions not yet completed
 	fencing    bool           // machine parked at the frame fence
-	awaiting   *gpu.Request   // blocking request whose continuation resumes the machine
-	slowFault  bool           // slow-lane handoff committed to the fault path (see toProc)
+	awaiting   *gpu.Request   // submit-and-wait request whose completion resumes the machine
 	retire     []*gpu.Request // completed fire-and-forget requests to recycle
 	roundStart sim.Time
-	slowGate   *sim.Gate
 	stepFn     func()
+	storedFn   func(*gpu.Request)
 	trivDone   func(*gpu.Request)
 	pipeDone   func(*gpu.Request)
 	blockDone  func(*gpu.Request)
@@ -63,15 +58,21 @@ const (
 
 // Launch creates a task named after the spec and starts its round loop.
 // The returned App accumulates statistics as the simulation advances.
+// The task's one thread opens the client, paying the setup syscalls,
+// starts the round machine and ends; a spec whose Mix names a kind its
+// Channels do not open fails there, reported by SetupError.
 func Launch(k *neon.Kernel, spec Spec, rng *sim.RNG) *App {
 	a := &App{
 		Spec:    spec,
 		rng:     rng,
 		perKind: make(map[gpu.Kind]*metrics.Mean),
-		ready:   k.Engine().NewGate("ready-" + spec.Name),
 	}
 	a.Task = k.NewTask(spec.Name)
-	a.Task.Go("main", func(p *sim.Proc) { a.run(p, k) })
+	if err := spec.checkKinds(); err != nil {
+		a.setupErr = err
+		return a
+	}
+	userlib.OpenAsync(k, a.Task, spec.Name, spec.ChannelKinds(), a.start)
 	return a
 }
 
@@ -106,49 +107,33 @@ func (a *App) ResetStats() {
 	a.perKind = make(map[gpu.Kind]*metrics.Mean)
 }
 
-// run opens the client from process context, then drives the spec's
-// round loop as a continuation-passing state machine: submissions ride
-// the asynchronous doorbell fast path (userlib.SubmitAsync) and
-// completions re-enter the machine in engine context, so a steady-state
-// round costs zero goroutine park/unpark. The process survives as the
-// machine's slow lane — when a submission needs process context
-// (engaged channel, trap mode) the machine signals slowGate and this
-// process replays the blocking submission, with its fault and trap
-// charges, exactly as the pre-machine loop did.
-//
-// The machine reproduces the blocking loop's event timeline precisely:
-// a fire-and-forget submission chains the next step After(DirectWrite)
-// — the clock the old blocking store's sleep advanced — and a
-// completion continuation re-enters via After(0), the same queue
-// position the old done-gate broadcast gave the woken process.
-func (a *App) run(p *sim.Proc, k *neon.Kernel) {
-	kinds := a.Spec.Channels
-	if len(kinds) == 0 {
-		kinds = []gpu.Kind{gpu.Compute}
-	}
-	client, err := userlib.Open(p, k, a.Task, a.Spec.Name, kinds...)
+// start receives the opened client and begins the first round. The
+// machine reproduces a blocking round loop's event timeline: a
+// fire-and-forget submission resumes where its store returns
+// (userlib.Client.Submit's fn), and a completion re-enters via After(0),
+// the queue position a done-gate broadcast gives a woken process.
+func (a *App) start(c *userlib.Client, err error) {
 	if err != nil {
 		a.setupErr = err
-		a.ready.Open()
 		return
 	}
-	a.client = client
-	a.ready.Open()
-
-	a.eng = p.Engine()
-	a.dw = k.Costs().DirectWrite
+	a.client = c
+	a.eng = c.Task.Kernel().Engine()
 	a.reqs = a.Spec.Requests()
-	a.slowGate = a.eng.NewGate("slow-" + a.Spec.Name)
-	a.stepFn = func() { a.step(nil) }
+	a.stepFn = a.step
+	a.storedFn = func(r *gpu.Request) {
+		if r == nil {
+			a.pending--
+		}
+		a.step()
+	}
 	a.trivDone = func(r *gpu.Request) { a.oneDone(r, false) }
 	a.pipeDone = func(r *gpu.Request) { a.oneDone(r, true) }
-	a.blockDone = func(*gpu.Request) { a.eng.After(0, a.stepFn) }
-
-	a.beginRound(p.Now())
-	for a.Task.Alive {
-		p.Wait(a.slowGate)
-		a.step(p)
+	a.blockDone = func(r *gpu.Request) {
+		a.awaiting = r
+		a.eng.After(0, a.stepFn)
 	}
+	a.beginRound(a.eng.Now())
 }
 
 // beginRound starts a round: stamp the start, think for CPU, submit.
@@ -185,109 +170,48 @@ func (a *App) oneDone(r *gpu.Request, observe bool) {
 	}
 }
 
-// step advances the round machine. With p == nil it runs in engine
-// context and must not block: a submission that needs process context
-// hands off to the slow lane via slowGate. With p != nil it runs on the
-// slow lane and uses the blocking submission paths directly, exactly as
-// the pre-machine loop did.
-func (a *App) step(p *sim.Proc) {
+// step advances the round machine in engine context.
+func (a *App) step() {
 	if !a.Task.Alive {
 		return
 	}
 	if r := a.awaiting; r != nil {
-		// A blocking request's continuation brought us here. The request
-		// is recycled: completion processing finished before this After(0)
-		// step ran, and nothing else holds the pointer (sampling watchers
-		// pin, making Release a no-op).
+		// A submit-and-wait request's completion brought us here. The
+		// request is recycled: completion processing finished before this
+		// After(0) step ran, and nothing else holds the pointer (sampling
+		// watchers pin, making Release a no-op).
 		a.awaiting = nil
 		a.noteDone(r)
 		r.Release()
-		a.idx++
-		a.noted = false
 	}
 	for {
 		switch a.phase {
 		case phThink:
 			a.phase = phSubmit
 			a.idx = 0
-			a.noted = false
 		case phSubmit:
 			if a.idx == len(a.reqs) {
 				a.phase = phFence
 				continue
 			}
 			rq := a.reqs[a.idx]
-			if !a.noted {
-				a.noteSubmit(a.eng.Now())
-				a.noted = true
+			a.idx++
+			a.noteSubmit(a.eng.Now())
+			if !rq.Trivial && !a.Spec.Pipelined {
+				// Submit and wait: the completion resumes the machine.
+				a.client.Submit(rq.Kind, rq.Size, a.blockDone, nil)
+				return
 			}
-			fault := a.slowFault
-			a.slowFault = false
-			switch {
-			case rq.Trivial || a.Spec.Pipelined:
-				// Fire and forget; completion feeds the fence counter (and,
-				// for pipelined requests, the service stats).
-				hook := a.trivDone
-				if !rq.Trivial {
-					hook = a.pipeDone
-				}
-				if !fault {
-					if _, ok := a.client.SubmitAsync(a.eng, rq.Kind, rq.Size, hook); ok {
-						a.pending++
-						a.idx++
-						a.noted = false
-						if p == nil {
-							a.eng.After(a.dw, a.stepFn)
-							return
-						}
-						p.Sleep(a.dw)
-						continue
-					}
-					if p == nil {
-						a.toProc(rq.Kind)
-						return
-					}
-				}
-				if fault {
-					a.pending++
-					if a.client.SubmitEngaged(p, rq.Kind, rq.Size, hook) == nil {
-						a.pending--
-					}
-				} else if r := a.client.SubmitDetached(p, rq.Kind, rq.Size); r != nil {
-					a.pending++
-					if r.IsDone() {
-						hook(r)
-					} else {
-						r.OnDone = hook
-					}
-				}
-				a.idx++
-				a.noted = false
-			default:
-				if !fault {
-					if r, ok := a.client.SubmitAsync(a.eng, rq.Kind, rq.Size, a.blockDone); ok {
-						a.awaiting = r
-						return
-					}
-					if p == nil {
-						a.toProc(rq.Kind)
-						return
-					}
-				}
-				var r *gpu.Request
-				if fault {
-					if r = a.client.SubmitEngaged(p, rq.Kind, rq.Size, nil); r != nil {
-						p.Wait(r.DoneGate())
-					}
-				} else {
-					r = a.client.SubmitSync(p, rq.Kind, rq.Size)
-				}
-				if r != nil {
-					a.noteDone(r)
-					r.Release()
-				}
-				a.idx++
-				a.noted = false
+			// Fire and forget: completion feeds the fence counter (and, for
+			// pipelined requests, the service stats); the machine goes on
+			// where the store returns.
+			hook := a.trivDone
+			if !rq.Trivial {
+				hook = a.pipeDone
+			}
+			a.pending++
+			if _, now, err := a.client.Submit(rq.Kind, rq.Size, hook, a.storedFn); err != nil || !now {
+				return
 			}
 		case phFence:
 			// Frame fence: wait for every fire-and-forget completion of the
@@ -321,17 +245,6 @@ func (a *App) step(p *sim.Proc) {
 	}
 }
 
-// toProc hands the machine to the slow-lane process, which is always
-// parked on slowGate whenever the machine runs in engine context. The
-// handoff is an event hop, and the scheduler may flip the channel's
-// engagement within the same instant — so the fault-or-direct decision
-// is committed here, at the refusal instant, and the slow lane honors
-// it (SubmitEngaged) instead of re-checking a page that may have moved.
-func (a *App) toProc(kind gpu.Kind) {
-	a.slowFault = a.client.Engaged(kind)
-	a.slowGate.Signal()
-}
-
 func (a *App) noteSubmit(now sim.Time) {
 	if a.Observe && a.lastSubmit != 0 {
 		a.InterArrival.Add(now.Sub(a.lastSubmit))
@@ -354,7 +267,3 @@ func (a *App) noteDone(r *gpu.Request) {
 	}
 	m.AddDuration(service)
 }
-
-// WaitReady blocks p until the app's setup syscalls have completed (or
-// failed). Useful in tests that must order setup against assertions.
-func (a *App) WaitReady(p *sim.Proc) { p.Wait(a.ready) }

@@ -13,6 +13,8 @@
 package workload
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/gpu"
@@ -73,6 +75,27 @@ func (s Spec) Requests() []Req {
 		}
 	}
 	return out
+}
+
+// ChannelKinds returns the channel kinds the spec's clients open:
+// Channels, or {Compute} when it is empty.
+func (s Spec) ChannelKinds() []gpu.Kind {
+	if len(s.Channels) > 0 {
+		return s.Channels
+	}
+	return []gpu.Kind{gpu.Compute}
+}
+
+// checkKinds reports a Mix entry whose kind the spec's clients do not
+// open: such a request has no channel to go to.
+func (s Spec) checkKinds() error {
+	for _, r := range s.Mix {
+		if len(s.Channels) == 0 && r.Kind != gpu.Compute || len(s.Channels) > 0 && !slices.Contains(s.Channels, r.Kind) {
+			return fmt.Errorf("workload: spec %q submits %v requests but opens only %v channels",
+				s.Name, r.Kind, s.ChannelKinds())
+		}
+	}
+	return nil
 }
 
 // GPUTime returns the per-round device time of the mix.

@@ -109,7 +109,8 @@ func (s TenantSpec) ShareWeight() float64 {
 // legal; negative or non-finite weights are the specs core.PerWeight
 // used to clamp to 1 silently — under hierarchical composition that
 // clamp would quietly rewrite an org's whole subtree, so they are now
-// an error at spec time. Unknown tiers are rejected the same way.
+// an error at spec time. Unknown tiers are rejected the same way, and
+// so is a Mix request of a kind the spec's Channels do not open.
 func (s TenantSpec) Validate() error {
 	if s.Weight < 0 || math.IsNaN(s.Weight) || math.IsInf(s.Weight, 0) {
 		return fmt.Errorf("workload: tenant %q has invalid weight %v (must be finite and non-negative; 0 means default 1)",
@@ -118,7 +119,7 @@ func (s TenantSpec) Validate() error {
 	if _, err := ParseTier(string(s.Tier)); err != nil {
 		return fmt.Errorf("workload: tenant %q: %w", s.Name, err)
 	}
-	return nil
+	return s.checkKinds()
 }
 
 // OpenLoopTenant returns a TenantSpec shaped for the open-loop serving
